@@ -15,7 +15,6 @@
 // describes the machine.  LRGP_BENCH_ITERS overrides the iteration
 // budget.
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,9 +24,6 @@
 #include "io/json.hpp"
 #include "lrgp/optimizer.hpp"
 #include "lrgp/parallel_engine.hpp"
-#include "simd/batch_engine.hpp"
-#include "simd/simd.hpp"
-#include "simd/vector_engine.hpp"
 #include "obs/instruments.hpp"
 #include "obs/metrics.hpp"
 #include "workload/workloads.hpp"
@@ -287,151 +283,6 @@ int main() {
                     count("lrgp_rate_solves_total"), count("lrgp_admissions_total"));
     }
     root["obs"] = std::move(obs_cols);
-
-    // ---- vectorized SoA core at 10^5-class scale ----
-    // The vector engine's target regime: one big instance where the
-    // class-major SIMD kernels amortize.  Phase-kernel speedups are
-    // same-machine ratios of two runs of this binary, so the >= 4x rate
-    // floor in scripts/check_perf_regression.py stays enforceable; it is
-    // keyed on the machine block's detected ISA.  LRGP_BENCH_VEC_ITERS
-    // overrides the budget (this workload is ~156x the contended one).
-    const int vec_iters = static_cast<int>(bench::env_u64("LRGP_BENCH_VEC_ITERS", 40));
-    workload::WorkloadOptions vec_options;
-    vec_options.flow_replicas = 50;    // 300 flows
-    vec_options.cnode_replicas = 100;  // 15000 consumer nodes, 100000 classes
-    const model::ProblemSpec vec_spec = workload::make_scaled_workload(vec_options);
-    const auto vec_per_iter = [&](std::uint64_t ns) {
-        return static_cast<double>(ns) / vec_iters;
-    };
-
-    core::ParallelLrgpEngine vec_scalar(vec_spec, {},
-                                        {.threads = 1, .collect_phase_times = true});
-    const std::uint64_t vec_scalar_ns = timed_run(vec_scalar, vec_iters);
-    const core::PhaseTimes& spt = vec_scalar.phaseTimes();
-
-    simd::VectorLrgpEngine vec_exact(
-        vec_spec, {}, {.mode = simd::VectorMode::kExact, .collect_phase_times = true});
-    const std::uint64_t vec_exact_ns = timed_run(vec_exact, vec_iters);
-
-    simd::VectorLrgpEngine vec_tol(vec_spec, {},
-                                   {.mode = simd::VectorMode::kTolerance,
-                                    .collect_phase_times = true});
-    const std::uint64_t vec_tol_ns = timed_run(vec_tol, vec_iters);
-
-    if (vec_exact.currentUtility() != vec_scalar.currentUtility()) {
-        std::fprintf(stderr,
-                     "FATAL: vector_exact diverged from the compiled engine "
-                     "(%.17g vs %.17g)\n",
-                     vec_exact.currentUtility(), vec_scalar.currentUtility());
-        return 1;
-    }
-    const double vec_rel_err =
-        std::abs(vec_tol.currentUtility() - vec_scalar.currentUtility()) /
-        std::abs(vec_scalar.currentUtility());
-
-    const auto ratio = [](std::uint64_t num, std::uint64_t den) {
-        return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
-    };
-    const simd::VectorEngineStats& vex = vec_exact.stats();
-    const simd::VectorEngineStats& vtl = vec_tol.stats();
-
-    std::printf("\nvector engine, %zu classes (%d iterations, %s kernels):\n",
-                vec_spec.classCount(), vec_iters, vec_tol.variant());
-    std::printf("  %-14s %12s %12s %12s %10s\n", "", "rate ns/it", "node ns/it",
-                "link ns/it", "e2e x");
-    std::printf("  %-14s %12.0f %12.0f %12.0f %10s\n", "compiled 1t",
-                vec_per_iter(spt.rate_ns), vec_per_iter(spt.node_ns),
-                vec_per_iter(spt.link_ns), "1.00");
-    std::printf("  %-14s %12.0f %12.0f %12.0f %9.2fx\n", "vector_exact",
-                vec_per_iter(vex.rate_ns), vec_per_iter(vex.node_ns),
-                vec_per_iter(vex.link_ns), ratio(vec_scalar_ns, vec_exact_ns));
-    std::printf("  %-14s %12.0f %12.0f %12.0f %9.2fx\n", "vector",
-                vec_per_iter(vtl.rate_ns), vec_per_iter(vtl.node_ns),
-                vec_per_iter(vtl.link_ns), ratio(vec_scalar_ns, vec_tol_ns));
-    std::printf("  rate-kernel speedup: exact %.2fx, tolerance %.2fx; "
-                "tolerance rel err %.2e\n",
-                ratio(spt.rate_ns, vex.rate_ns), ratio(spt.rate_ns, vtl.rate_ns),
-                vec_rel_err);
-
-    // Batched lockstep: eight capacity-scaled copies of the contended
-    // workload, one per vector lane, vs eight solo serial solves.  Every
-    // lane must land bitwise on its solo trajectory.
-    std::vector<model::ProblemSpec> batch_specs;
-    std::vector<double> batch_solo_utilities;
-    std::uint64_t batch_solo_ns = 0;
-    for (std::size_t k = 0; k < simd::kWidth; ++k) {
-        const double scale =
-            0.7 + 0.6 * static_cast<double>(k) / static_cast<double>(simd::kWidth - 1);
-        model::ProblemSpec copy = spec;
-        for (const model::NodeSpec& node : spec.nodes())
-            copy.setNodeCapacity(node.id, node.capacity * scale);
-        core::LrgpOptimizer solo(copy);
-        batch_solo_ns += timed_run(solo, iters);
-        batch_solo_utilities.push_back(solo.currentUtility());
-        batch_specs.push_back(std::move(copy));
-    }
-    simd::BatchedVectorEngine batch(std::move(batch_specs));
-    const std::uint64_t batch_ns = timed_run(batch, iters);
-    bool batch_bitwise = true;
-    for (std::size_t k = 0; k < simd::kWidth; ++k)
-        batch_bitwise = batch_bitwise && batch.utility(k) == batch_solo_utilities[k];
-    if (!batch_bitwise) {
-        std::fprintf(stderr, "FATAL: a batched lane diverged from its solo serial run\n");
-        return 1;
-    }
-    const double batch_speedup = ratio(batch_solo_ns, batch_ns);
-    std::printf("  batched: %zu instances in lockstep, %.0f ns/instance-iter vs "
-                "%.0f solo serial (%.2fx aggregate)\n",
-                simd::kWidth,
-                static_cast<double>(batch_ns) / (iters * simd::kWidth),
-                static_cast<double>(batch_solo_ns) / (iters * simd::kWidth),
-                batch_speedup);
-
-    io::JsonObject vec_cols;
-    vec_cols["iterations"] = vec_iters;
-    io::JsonObject vec_instance;
-    vec_instance["flows"] = static_cast<int>(vec_spec.flowCount());
-    vec_instance["nodes"] = static_cast<int>(vec_spec.nodeCount());
-    vec_instance["links"] = static_cast<int>(vec_spec.linkCount());
-    vec_instance["classes"] = static_cast<int>(vec_spec.classCount());
-    vec_cols["instance"] = std::move(vec_instance);
-    vec_cols["kernel_variant"] = std::string(vec_tol.variant());
-    vec_cols["scalar_1t_ns_per_iter"] = vec_per_iter(vec_scalar_ns);
-    vec_cols["exact_ns_per_iter"] = vec_per_iter(vec_exact_ns);
-    vec_cols["tolerance_ns_per_iter"] = vec_per_iter(vec_tol_ns);
-    io::JsonObject vec_scalar_phases;
-    vec_scalar_phases["rate_ns_per_iter"] = vec_per_iter(spt.rate_ns);
-    vec_scalar_phases["node_ns_per_iter"] = vec_per_iter(spt.node_ns);
-    vec_scalar_phases["link_ns_per_iter"] = vec_per_iter(spt.link_ns);
-    vec_cols["scalar_1t_phases"] = std::move(vec_scalar_phases);
-    io::JsonObject vec_exact_phases;
-    vec_exact_phases["rate_ns_per_iter"] = vec_per_iter(vex.rate_ns);
-    vec_exact_phases["node_ns_per_iter"] = vec_per_iter(vex.node_ns);
-    vec_exact_phases["link_ns_per_iter"] = vec_per_iter(vex.link_ns);
-    vec_cols["exact_phases"] = std::move(vec_exact_phases);
-    io::JsonObject vec_tol_phases;
-    vec_tol_phases["rate_ns_per_iter"] = vec_per_iter(vtl.rate_ns);
-    vec_tol_phases["node_ns_per_iter"] = vec_per_iter(vtl.node_ns);
-    vec_tol_phases["link_ns_per_iter"] = vec_per_iter(vtl.link_ns);
-    vec_cols["tolerance_phases"] = std::move(vec_tol_phases);
-    vec_cols["rate_kernel_speedup"] = ratio(spt.rate_ns, vtl.rate_ns);
-    vec_cols["rate_kernel_speedup_exact"] = ratio(spt.rate_ns, vex.rate_ns);
-    vec_cols["link_kernel_speedup"] = ratio(spt.link_ns, vtl.link_ns);
-    vec_cols["e2e_speedup"] = ratio(vec_scalar_ns, vec_tol_ns);
-    vec_cols["e2e_speedup_exact"] = ratio(vec_scalar_ns, vec_exact_ns);
-    vec_cols["bitwise_exact"] = true;
-    vec_cols["tolerance_rel_err"] = vec_rel_err;
-    io::JsonObject batch_cols;
-    batch_cols["instances"] = static_cast<int>(simd::kWidth);
-    batch_cols["iterations"] = iters;
-    batch_cols["ns_per_instance_iter"] =
-        static_cast<double>(batch_ns) / (iters * simd::kWidth);
-    batch_cols["solo_serial_ns_per_instance_iter"] =
-        static_cast<double>(batch_solo_ns) / (iters * simd::kWidth);
-    batch_cols["aggregate_speedup"] = batch_speedup;
-    batch_cols["lockstep_bitwise"] = true;
-    vec_cols["batch"] = std::move(batch_cols);
-    root["vector"] = std::move(vec_cols);
 
     std::ofstream out("BENCH_lrgp.json");
     out << io::JsonValue(std::move(root)).dump(true) << "\n";

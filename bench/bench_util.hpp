@@ -17,40 +17,9 @@
 
 namespace lrgp::bench {
 
-/// SIMD ISA this binary was compiled to assume everywhere (predefined
-/// macros), as opposed to what the host CPU offers.  Deliberately does
-/// not depend on lrgp_simd: the stamp must stay meaningful in benches
-/// that never link the vector engine.
-inline const char* compiled_simd_isa() {
-#if defined(__AVX512F__)
-    return "avx512";
-#elif defined(__AVX2__)
-    return "avx2";
-#elif defined(__SSE2__) || defined(__x86_64__)
-    return "sse2";
-#else
-    return "scalar";
-#endif
-}
-
-/// Best SIMD ISA the host CPU reports at runtime.  The perf guard keys
-/// its vector-kernel floors on this value, so keep the vocabulary in
-/// sync with scripts/check_perf_regression.py (avx512 | avx2 | sse2 |
-/// scalar).
-inline const char* detected_simd_isa() {
-#if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx512f")) return "avx512";
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) return "avx2";
-    if (__builtin_cpu_supports("sse2")) return "sse2";
-#endif
-    return "scalar";
-}
-
 /// Machine block stamped into every BENCH_*.json: absolute wall-clock
 /// columns are only comparable on like hardware, so each result records
-/// the host, the compiler, and the SIMD ISA (compiled and detected)
-/// that produced it.  LRGP_PERF_ALLOW_UNKNOWN_HW relaxation and the
-/// ISA-keyed vector floors in check_perf_regression.py read this block.
+/// the host and the compiler that produced it.
 inline io::JsonObject machine_json() {
     io::JsonObject machine;
     char host[256] = {};
@@ -60,8 +29,6 @@ inline io::JsonObject machine_json() {
     machine["hostname"] = std::string(host[0] ? host : "unknown");
     machine["compiler"] = std::string(__VERSION__);
     machine["hardware_threads"] = static_cast<int>(std::thread::hardware_concurrency());
-    machine["simd_isa_compiled"] = std::string(compiled_simd_isa());
-    machine["simd_isa_detected"] = std::string(detected_simd_isa());
     return machine;
 }
 

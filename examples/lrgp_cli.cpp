@@ -1,4 +1,3 @@
-#include <sstream>
 // lrgp_cli — command-line front end for the library.
 //
 // Builds a workload (the paper's base workload, a scaled variant, or a
@@ -17,10 +16,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 
 #include "baseline/annealing.hpp"
@@ -28,7 +29,6 @@
 #include "fastpath/fastpath.hpp"
 #include "io/problem_json.hpp"
 #include "lrgp/enactment.hpp"
-#include "lrgp/optimizer.hpp"
 #include "lrgp/parallel_engine.hpp"
 #include "lrgp/trace_export.hpp"
 #include "lrgp/two_stage.hpp"
@@ -39,8 +39,6 @@
 #include "scenario/runner.hpp"
 #include "scenario/scenario.hpp"
 #include "shard/sharded_engine.hpp"
-#include "simd/batch_engine.hpp"
-#include "simd/vector_engine.hpp"
 #include "workload/random_workload.hpp"
 #include "workload/workloads.hpp"
 
@@ -50,9 +48,7 @@ namespace {
 
 struct CliOptions {
     std::string workload = "base";  // base | random
-    std::string engine = "serial";  // serial | compiled | incremental | sharded |
-                                    // vector | vector_exact | async
-    int batch_instances = 0;        // --batch-instances N: lockstep multi-instance run
+    std::string engine = "serial";  // a shard::make_engine name, or async
     int threads = 1;                // compiled/incremental worker threads
     int shards = 4;                 // --engine sharded shard count
     int agents = 4;                 // --engine async agent-thread count
@@ -90,16 +86,13 @@ void printUsage() {
         "                             best-known comparison; --enact adds the\n"
         "                             packet-level dataplane closed loop)\n"
         "  --list-scenarios           print the scenario catalog and exit\n"
-        "  --engine serial|compiled|incremental|sharded|vector|vector_exact|async\n"
+        "  --engine serial|compiled|incremental|sharded|async\n"
         "                             iteration driver (default serial); the first\n"
         "                             three produce bitwise-identical trajectories,\n"
         "                             sharded matches them exactly at --shards 1, and\n"
         "                             async runs the live shard-agent runtime in\n"
         "                             deterministic virtual time (--agents/--seconds)\n"
         "  --threads N                engine worker threads\n"
-        "  --batch-instances N        run N (2..8) capacity-scaled copies of the\n"
-        "                             workload in SIMD lockstep (one instance per\n"
-        "                             vector lane) and print a per-instance table\n"
         "                             (default 1; 0 = hardware concurrency)\n"
         "  --shards K                 sharded engine shard count (default 4)\n"
         "  --agents K                 async runtime agent threads (default 4)\n"
@@ -169,22 +162,6 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
             const char* v = next();
             if (!v) return std::nullopt;
             options.engine = v;
-            if (options.engine != "serial" && options.engine != "compiled" &&
-                options.engine != "incremental" && options.engine != "sharded" &&
-                options.engine != "vector" && options.engine != "vector_exact" &&
-                options.engine != "async") {
-                std::fprintf(stderr, "error: unknown engine '%s'\n", v);
-                return std::nullopt;
-            }
-        } else if (arg == "--batch-instances") {
-            const char* v = next();
-            if (!v) return std::nullopt;
-            options.batch_instances = std::atoi(v);
-            if (options.batch_instances < 2 ||
-                options.batch_instances > static_cast<int>(simd::kWidth)) {
-                std::fprintf(stderr, "error: --batch-instances wants 2..%zu\n", simd::kWidth);
-                return std::nullopt;
-            }
         } else if (arg == "--shards") {
             const char* v = next();
             if (!v) return std::nullopt;
@@ -338,13 +315,7 @@ model::ProblemSpec buildWorkload(const CliOptions& options) {
     return workload::make_scaled_workload(scaled);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-    const auto parsed = parseArgs(argc, argv);
-    if (!parsed) return argc > 1 && std::string(argv[1]) == "--help" ? 0 : 2;
-    const CliOptions& cli = *parsed;
-
+int run(const CliOptions& cli) {
     if (cli.list_scenarios) {
         std::printf("%-44s %-12s %-12s %-12s %5s\n", "cell", "topology", "traffic",
                     "utility", "seed");
@@ -356,14 +327,8 @@ int main(int argc, char** argv) {
     }
 
     if (!cli.scenario.empty()) {
-        const scenario::ScenarioSpec sc = [&] {
-            try {
-                return scenario::build_scenario(scenario::find_scenario(cli.scenario));
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(2);
-            }
-        }();
+        const scenario::ScenarioSpec sc =
+            scenario::build_scenario(scenario::find_scenario(cli.scenario));
         std::printf("scenario %s: %s x %s x %s%s, seed %llu\n", sc.options.name.c_str(),
                     sc.options.topology.c_str(), sc.options.traffic.c_str(),
                     sc.options.utility.c_str(), sc.options.overdrive ? " (overdrive)" : "",
@@ -393,14 +358,7 @@ int main(int argc, char** argv) {
             lrgp_options.gamma = core::FixedGamma{*cli.fixed_gamma, *cli.fixed_gamma};
         ropts.lrgp = lrgp_options;
 
-        const scenario::ScenarioRunReport report = [&] {
-            try {
-                return scenario::run_scenario(sc, ropts);
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(2);
-            }
-        }();
+        const scenario::ScenarioRunReport report = scenario::run_scenario(sc, ropts);
         std::printf("replay (%s): %zu ops applied, %zu utility samples\n",
                     report.engine.c_str(), report.ops_applied, report.utility_trace.size());
         std::printf("utility: final %.1f vs best-known %.1f (%.2f%%)%s\n",
@@ -529,74 +487,19 @@ int main(int argc, char** argv) {
     // arrays, or flat arrays with dirty-set skipping).  "sharded" layers
     // the hierarchical control plane on K incremental subengines and
     // matches the others exactly at --shards 1.
-    // --batch-instances: N capacity-scaled copies of the workload advance
-    // in SIMD lockstep, one instance per vector lane; each lane's
-    // trajectory is bitwise the serial optimizer's on that instance.
-    if (cli.batch_instances >= 2) {
-        const std::size_t n = static_cast<std::size_t>(cli.batch_instances);
-        std::vector<model::ProblemSpec> specs;
-        std::vector<double> scales;
-        specs.reserve(n);
-        for (std::size_t k = 0; k < n; ++k) {
-            const double scale = 0.7 + 0.6 * static_cast<double>(k) /
-                                           static_cast<double>(n > 1 ? n - 1 : 1);
-            scales.push_back(scale);
-            model::ProblemSpec copy = spec;
-            for (const model::NodeSpec& node : spec.nodes())
-                copy.setNodeCapacity(node.id, node.capacity * scale);
-            specs.push_back(std::move(copy));
-        }
-        try {
-            simd::BatchedVectorEngine batch(std::move(specs), lrgp_options);
-            batch.run(cli.iterations);
-            std::printf("engine: batched vector (%s), %d instances in lockstep\n",
-                        batch.variant(), cli.batch_instances);
-            std::printf("%-9s %-10s %-18s %s\n", "instance", "cap-scale", "utility",
-                        "converged");
-            for (std::size_t k = 0; k < n; ++k)
-                std::printf("%-9zu %-10.2f %-18.6f %s\n", k, scales[k], batch.utility(k),
-                            batch.converged(k) ? "yes" : "no");
-        } catch (const std::invalid_argument& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
-        }
-        return 0;
-    }
-
-    std::unique_ptr<core::Engine> owner;
-    shard::ShardedLrgpEngine* sharded = nullptr;
-    core::ParallelLrgpEngine* parallel = nullptr;
-    if (cli.engine == "serial") {
-        owner = std::make_unique<core::LrgpOptimizer>(spec, lrgp_options);
-    } else if (cli.engine == "vector" || cli.engine == "vector_exact") {
-        simd::VectorEngineConfig config;
-        config.mode = cli.engine == "vector" ? simd::VectorMode::kTolerance
-                                             : simd::VectorMode::kExact;
-        auto built = std::make_unique<simd::VectorLrgpEngine>(spec, lrgp_options, config);
-        std::printf("engine: %s (%s kernels, detected %s)\n", built->name(), built->variant(),
-                    simd::detected_isa());
-        owner = std::move(built);
-    } else if (cli.engine == "sharded") {
-        auto built = std::make_unique<shard::ShardedLrgpEngine>(
-            spec, lrgp_options,
-            shard::ShardedConfig{.shards = cli.shards, .threads = cli.threads});
-        sharded = built.get();
-        owner = std::move(built);
+    const std::unique_ptr<core::Engine> owner =
+        shard::make_engine(cli.engine, spec, lrgp_options, cli.threads, cli.shards);
+    const auto* sharded = dynamic_cast<const shard::ShardedLrgpEngine*>(owner.get());
+    const auto* parallel = dynamic_cast<const core::ParallelLrgpEngine*>(owner.get());
+    if (sharded)
         std::printf("engine: sharded, %d shard%s; boundary %zu nodes / %zu links "
                     "(%.1f%% of nodes)\n",
                     sharded->shardCount(), sharded->shardCount() == 1 ? "" : "s",
                     sharded->boundaryNodeCount(), sharded->boundaryLinkCount(),
                     100.0 * sharded->boundaryNodeFraction());
-    } else {
-        auto built = std::make_unique<core::ParallelLrgpEngine>(
-            spec, lrgp_options,
-            core::EngineConfig{.threads = cli.threads,
-                               .incremental = cli.engine == "incremental"});
-        parallel = built.get();
-        owner = std::move(built);
-        std::printf("engine: %s, %d thread%s\n", cli.engine.c_str(), parallel->threadCount(),
+    if (parallel)
+        std::printf("engine: %s, %d thread%s\n", parallel->name(), parallel->threadCount(),
                     parallel->threadCount() == 1 ? "" : "s");
-    }
     core::Engine& active = *owner;
     const auto current_utility = [&] { return active.currentUtility(); };
 
@@ -796,4 +699,19 @@ int main(int argc, char** argv) {
                     obs_registry->size());
     }
     return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    const auto parsed = parseArgs(argc, argv);
+    if (!parsed) return argc > 1 && std::string(argv[1]) == "--help" ? 0 : 2;
+    // Malformed problem files, unknown engine or scenario names and
+    // unsupported option combinations all surface as exceptions.
+    try {
+        return run(*parsed);
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 }

@@ -25,7 +25,7 @@ workload::UtilityShape shapeFromString(const std::string& s) {
 }
 
 int intAt(const io::JsonValue& obj, const std::string& key, int fallback) {
-    return obj.has(key) ? static_cast<int>(obj.at(key).asNumber()) : fallback;
+    return obj.has(key) ? obj.at(key).asInt() : fallback;
 }
 
 /// One scheduled workload change.
@@ -41,7 +41,7 @@ std::vector<Event> parseEvents(const io::JsonValue& config) {
     if (!config.has("events")) return events;
     for (const io::JsonValue& e : config.at("events").asArray()) {
         Event event;
-        event.at = static_cast<int>(e.at("at").asNumber());
+        event.at = e.at("at").asInt();
         if (event.at < 1) throw std::runtime_error("experiment: event 'at' must be >= 1");
         const std::string& action = e.at("action").asString();
         if (action == "remove_flow") {
@@ -57,7 +57,7 @@ std::vector<Event> parseEvents(const io::JsonValue& config) {
         } else if (action == "set_class_max") {
             event.action = Event::Action::kSetClassMax;
             event.target = e.at("class").asString();
-            event.value = e.at("max").asNumber();
+            event.value = e.at("max").asInt();
         } else {
             throw std::runtime_error("experiment: unknown event action '" + action + "'");
         }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -59,6 +60,16 @@ bool JsonValue::asBool() const {
 double JsonValue::asNumber() const {
     if (const double* d = std::get_if<double>(&storage_)) return *d;
     typeError("number");
+}
+
+int JsonValue::asInt() const {
+    const double d = asNumber();
+    if (d >= std::numeric_limits<int>::min() && d <= std::numeric_limits<int>::max() &&
+        d == std::trunc(d))
+        return static_cast<int>(d);
+    std::string text;
+    numberTo(text, d);
+    throw std::runtime_error("JsonValue: not an int: " + text);
 }
 
 const std::string& JsonValue::asString() const {
@@ -199,8 +210,8 @@ private:
     JsonValue parseValue() {
         skipWhitespace();
         switch (peek()) {
-            case '{': return parseObject();
-            case '[': return parseArray();
+            case '{': return parseNested(&Parser::parseObject);
+            case '[': return parseNested(&Parser::parseArray);
             case '"': return JsonValue(parseString());
             case 't':
                 if (consumeLiteral("true")) return JsonValue(true);
@@ -213,6 +224,18 @@ private:
                 fail("bad literal");
             default: return parseNumber();
         }
+    }
+
+    /// Containers recurse, so their depth is capped: a hostile document
+    /// of millions of '[' must fail like any other malformed input, not
+    /// overflow the stack.
+    JsonValue parseNested(JsonValue (Parser::*parse)()) {
+        if (depth_ == kMaxDepth)
+            fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        ++depth_;
+        JsonValue value = (this->*parse)();
+        --depth_;
+        return value;
     }
 
     JsonValue parseObject() {
@@ -323,8 +346,11 @@ private:
         }
     }
 
+    static constexpr int kMaxDepth = 256;
+
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace

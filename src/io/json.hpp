@@ -44,6 +44,9 @@ public:
     /// Typed accessors; throw std::runtime_error on type mismatch.
     [[nodiscard]] bool asBool() const;
     [[nodiscard]] double asNumber() const;
+    /// A number that is integral and within int range; throws
+    /// std::runtime_error otherwise (never rounds or wraps).
+    [[nodiscard]] int asInt() const;
     [[nodiscard]] const std::string& asString() const;
     [[nodiscard]] const JsonArray& asArray() const;
     [[nodiscard]] const JsonObject& asObject() const;
@@ -64,7 +67,8 @@ private:
 };
 
 /// Parses a complete JSON document.  Throws std::runtime_error with a
-/// byte offset on malformed input or trailing garbage.
+/// byte offset on malformed input, trailing garbage, or arrays/objects
+/// nested deeper than 256 levels.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 }  // namespace lrgp::io

@@ -192,7 +192,7 @@ model::ProblemSpec problem_from_json(const JsonValue& json) {
         builder.addClass(c.at("name").asString(),
                          lookup(flow_ids, c.at("flow").asString(), "flow"),
                          lookup(node_ids, c.at("node").asString(), "node"),
-                         static_cast<int>(c.at("max_consumers").asNumber()),
+                         c.at("max_consumers").asInt(),
                          c.at("consumer_cost").asNumber(), utilityFromJson(c.at("utility")));
     }
 
@@ -228,8 +228,7 @@ model::Allocation allocation_from_json(const model::ProblemSpec& spec, const Jso
     for (const model::FlowSpec& f : spec.flows())
         alloc.rates[f.id.index()] = json.at("rates").at(f.name).asNumber();
     for (const model::ClassSpec& c : spec.classes())
-        alloc.populations[c.id.index()] =
-            static_cast<int>(json.at("populations").at(c.name).asNumber());
+        alloc.populations[c.id.index()] = json.at("populations").at(c.name).asInt();
     return alloc;
 }
 

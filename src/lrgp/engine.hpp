@@ -6,14 +6,15 @@
 // ops apply between iterations, and the observers expose the published
 // allocation/price state.  The differential and property harnesses
 // iterate over implementations through this interface, and the sharded
-// engine composes per-shard member engines through it.
+// engine composes per-shard member engines through it.  shard::make_engine
+// builds each of them by name (it lives in src/shard, the lowest library
+// that links all of them).
 //
 // LrgpOptions and IterationRecord live here (not in optimizer.hpp) so
 // the interface does not depend on any concrete engine; optimizer.hpp
 // re-exports them by inclusion, preserving existing includes.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -63,7 +64,8 @@ public:
     Engine& operator=(const Engine&) = delete;
 
     /// Short stable identifier ("serial", "compiled", "incremental",
-    /// "sharded") for logs, bench rows and test parametrization.
+    /// "sharded"): the name shard::make_engine builds this engine from,
+    /// also used in logs, bench rows and test parametrization.
     [[nodiscard]] virtual const char* name() const noexcept = 0;
 
     /// Runs one LRGP iteration and returns its record.
@@ -120,18 +122,5 @@ public:
 protected:
     Engine() = default;
 };
-
-/// The engines implemented in src/lrgp (src/shard has its own factory:
-/// shard::make_sharded_engine, kept separate to avoid a layering cycle).
-enum class EngineKind {
-    kSerial,       ///< LrgpOptimizer
-    kCompiled,     ///< ParallelLrgpEngine, full iterations
-    kIncremental,  ///< ParallelLrgpEngine with dirty-set tracking
-};
-
-/// Builds an engine of the requested kind.  `threads` is forwarded to
-/// EngineConfig::threads for the compiled engines and ignored by kSerial.
-[[nodiscard]] std::unique_ptr<Engine> make_engine(EngineKind kind, model::ProblemSpec spec,
-                                                  LrgpOptions options = {}, int threads = 1);
 
 }  // namespace lrgp::core

@@ -155,30 +155,6 @@ IncrementalInstruments IncrementalInstruments::resolve(Registry& registry) {
     return instruments;
 }
 
-VectorInstruments VectorInstruments::resolve(Registry& registry) {
-    VectorInstruments instruments;
-    instruments.lanes_occupied = &registry.counter(
-        "lrgp_vec_lanes_occupied_total",
-        "Real structure-of-arrays elements carried in SIMD lanes");
-    instruments.lanes_masked = &registry.counter(
-        "lrgp_vec_lanes_masked_total",
-        "Padded SIMD lanes carried along (span-padding waste)");
-    const std::string kernel_help = "Vector phase wall nanoseconds (kernel + scalar epilogue)";
-    instruments.rate_kernel_ns =
-        &registry.counter("lrgp_vec_kernel_ns_total", kernel_help, {{"phase", "rate"}});
-    instruments.node_kernel_ns =
-        &registry.counter("lrgp_vec_kernel_ns_total", kernel_help, {{"phase", "node"}});
-    instruments.link_kernel_ns =
-        &registry.counter("lrgp_vec_kernel_ns_total", kernel_help, {{"phase", "link"}});
-    instruments.bound_solves = &registry.counter(
-        "lrgp_vec_bound_solves_total",
-        "Closed-form-family flows resolved at a rate bound by the vector kernel");
-    instruments.closed_solves = &registry.counter(
-        "lrgp_vec_closed_solves_total",
-        "Closed-form-family flows resolved in the interior by the vector kernel");
-    return instruments;
-}
-
 ShardInstruments ShardInstruments::resolve(Registry& registry, int shards) {
     ShardInstruments instruments;
     instruments.steps = &registry.counter("lrgp_shard_steps_total",

@@ -114,22 +114,6 @@ struct IncrementalInstruments {
     static IncrementalInstruments resolve(Registry& registry);
 };
 
-/// Vectorized-engine instruments (simd::VectorLrgpEngine): SIMD lane
-/// occupancy of the padded structure-of-arrays layout and per-phase
-/// kernel time.  Mirrors the lrgp_inc_* pattern: counters are totals,
-/// divide by lrgp_iterations_total for per-iteration averages.
-struct VectorInstruments {
-    Counter* lanes_occupied = nullptr;  ///< lrgp_vec_lanes_occupied_total
-    Counter* lanes_masked = nullptr;    ///< lrgp_vec_lanes_masked_total (padding waste)
-    Counter* rate_kernel_ns = nullptr;  ///< lrgp_vec_kernel_ns_total{phase="rate"}
-    Counter* node_kernel_ns = nullptr;  ///< lrgp_vec_kernel_ns_total{phase="node"}
-    Counter* link_kernel_ns = nullptr;  ///< lrgp_vec_kernel_ns_total{phase="link"}
-    Counter* bound_solves = nullptr;    ///< lrgp_vec_bound_solves_total
-    Counter* closed_solves = nullptr;   ///< lrgp_vec_closed_solves_total
-
-    static VectorInstruments resolve(Registry& registry);
-};
-
 /// Sharded-engine instruments (shard::ShardedLrgpEngine): partition
 /// shape, lockstep/gated progress, and the boundary-price reconciler.
 struct ShardInstruments {

@@ -7,39 +7,14 @@
 
 #include "dataplane/dataplane.hpp"
 #include "lrgp/enactment.hpp"
+#include "lrgp/optimizer.hpp"
 #include "obs/instruments.hpp"
 #include "runtime/runtime.hpp"
 #include "shard/sharded_engine.hpp"
-#include "simd/vector_engine.hpp"
 
 namespace lrgp::scenario {
 
 namespace {
-
-std::unique_ptr<core::Engine> makeSyncEngine(const ScenarioSpec& scenario,
-                                             const RunnerOptions& options) {
-    if (options.engine == "serial")
-        return core::make_engine(core::EngineKind::kSerial, scenario.problem, options.lrgp);
-    if (options.engine == "compiled")
-        return core::make_engine(core::EngineKind::kCompiled, scenario.problem, options.lrgp,
-                                 options.threads);
-    if (options.engine == "incremental")
-        return core::make_engine(core::EngineKind::kIncremental, scenario.problem, options.lrgp,
-                                 options.threads);
-    if (options.engine == "vector" || options.engine == "vector_exact") {
-        simd::VectorEngineConfig config;
-        config.mode = options.engine == "vector" ? simd::VectorMode::kTolerance
-                                                 : simd::VectorMode::kExact;
-        return simd::make_vector_engine(scenario.problem, options.lrgp, config);
-    }
-    if (options.engine == "sharded") {
-        shard::ShardedConfig config;
-        config.shards = options.shards;
-        config.threads = options.threads;
-        return shard::make_sharded_engine(scenario.problem, options.lrgp, config);
-    }
-    throw std::invalid_argument("run_scenario: unknown engine '" + options.engine + "'");
-}
 
 void applyToEngine(core::Engine& engine, const DynamicOp& op) {
     switch (op.kind) {
@@ -165,10 +140,9 @@ void export_observability(const ScenarioSpec& scenario, const ScenarioRunReport&
 
 double best_known_utility(const ScenarioSpec& scenario, const core::LrgpOptions& options,
                           int max_iterations) {
-    const auto engine =
-        core::make_engine(core::EngineKind::kSerial, end_state_problem(scenario), options);
-    engine->runUntilConverged(max_iterations);
-    return engine->currentUtility();
+    core::LrgpOptimizer engine(end_state_problem(scenario), options);
+    engine.runUntilConverged(max_iterations);
+    return engine.currentUtility();
 }
 
 ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions& options) {
@@ -179,7 +153,8 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
     report.engine = options.engine;
     report.sample_period = options.tick;
 
-    const auto engine = makeSyncEngine(scenario, options);
+    const auto engine = shard::make_engine(options.engine, scenario.problem, options.lrgp,
+                                           options.threads, options.shards);
 
     std::optional<dataplane::Dataplane> dp;
     std::optional<core::EnactmentController> enactor;

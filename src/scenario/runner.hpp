@@ -35,7 +35,8 @@
 namespace lrgp::scenario {
 
 struct RunnerOptions {
-    /// serial | compiled | incremental | sharded | vector | vector_exact | async.
+    /// Any name shard::make_engine accepts (serial | compiled |
+    /// incremental | sharded), or async for the AsyncShardRuntime.
     std::string engine = "incremental";
     int shards = 4;    ///< sharded shard count / async agent count
     int threads = 1;   ///< compiled/incremental worker threads

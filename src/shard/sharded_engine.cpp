@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
+#include "lrgp/optimizer.hpp"
 #include "obs/scoped_timer.hpp"
 #include "shard/budget.hpp"
 
@@ -75,17 +77,10 @@ void ShardedLrgpEngine::buildMembers(std::vector<MemberSpec> specs) {
         member.link_local = std::move(ms.link_local);
         member.own_nodes = std::move(ms.own_nodes);
         member.own_links = std::move(ms.own_links);
-        if (ms.spec.has_value()) {
-            if (config_.member_factory) {
-                member.engine = config_.member_factory(std::move(*ms.spec), options_);
-            } else {
-                core::EngineConfig engine_config;
-                engine_config.threads = 1;
-                engine_config.incremental = config_.incremental;
-                member.engine = std::make_unique<core::ParallelLrgpEngine>(
-                    std::move(*ms.spec), options_, engine_config);
-            }
-        }
+        if (ms.spec.has_value())
+            member.engine = std::make_unique<core::ParallelLrgpEngine>(
+                std::move(*ms.spec), options_,
+                core::EngineConfig{.threads = 1, .incremental = true});
         members_[s] = std::move(member);
     }
 }
@@ -194,10 +189,10 @@ std::optional<int> ShardedLrgpEngine::runUntilConverged(int max_iterations) {
             [this, round](std::size_t s, int) {
                 Member& member = members_[s];
                 if (!member.engine) return;
-                if (config_.pause_converged && member.engine->convergence().converged()) return;
+                if (member.engine->convergence().converged()) return;
                 for (int i = 0; i < round; ++i) {
                     member.last_utility = member.engine->step().utility;
-                    if (config_.pause_converged && member.engine->convergence().converged()) break;
+                    if (member.engine->convergence().converged()) break;
                 }
             },
             [this](std::size_t s) { mergeMember(s); });
@@ -509,10 +504,52 @@ double ShardedLrgpEngine::boundaryNodeFraction() const noexcept {
                      static_cast<double>(spec_.nodeCount());
 }
 
-std::unique_ptr<core::Engine> make_sharded_engine(model::ProblemSpec spec,
-                                                  core::LrgpOptions options,
-                                                  ShardedConfig config) {
-    return std::make_unique<ShardedLrgpEngine>(std::move(spec), std::move(options), config);
+namespace {
+
+using EngineBuilder = std::unique_ptr<core::Engine> (*)(model::ProblemSpec spec,
+                                                        core::LrgpOptions options, int threads,
+                                                        int shards);
+
+// Every engine name make_engine accepts, in the order its error lists them.
+constexpr std::pair<std::string_view, EngineBuilder> kEngines[] = {
+    {"serial",
+     [](model::ProblemSpec spec, core::LrgpOptions options, int,
+        int) -> std::unique_ptr<core::Engine> {
+         return std::make_unique<core::LrgpOptimizer>(std::move(spec), std::move(options));
+     }},
+    {"compiled",
+     [](model::ProblemSpec spec, core::LrgpOptions options, int threads,
+        int) -> std::unique_ptr<core::Engine> {
+         return std::make_unique<core::ParallelLrgpEngine>(
+             std::move(spec), std::move(options), core::EngineConfig{.threads = threads});
+     }},
+    {"incremental",
+     [](model::ProblemSpec spec, core::LrgpOptions options, int threads,
+        int) -> std::unique_ptr<core::Engine> {
+         return std::make_unique<core::ParallelLrgpEngine>(
+             std::move(spec), std::move(options),
+             core::EngineConfig{.threads = threads, .incremental = true});
+     }},
+    {"sharded",
+     [](model::ProblemSpec spec, core::LrgpOptions options, int threads,
+        int shards) -> std::unique_ptr<core::Engine> {
+         return std::make_unique<ShardedLrgpEngine>(
+             std::move(spec), std::move(options),
+             ShardedConfig{.shards = shards, .threads = threads});
+     }},
+};
+
+}  // namespace
+
+std::unique_ptr<core::Engine> make_engine(std::string_view name, model::ProblemSpec spec,
+                                          core::LrgpOptions options, int threads, int shards) {
+    for (const auto& [engine, build] : kEngines)
+        if (engine == name) return build(std::move(spec), std::move(options), threads, shards);
+    std::string accepted;
+    for (const auto& [engine, build] : kEngines)
+        accepted += (accepted.empty() ? "" : ", ") + std::string(engine);
+    throw std::invalid_argument("make_engine: unknown engine '" + std::string(name) +
+                                "' (accepted: " + accepted + ")");
 }
 
 }  // namespace lrgp::shard

@@ -15,7 +15,7 @@
 //   * step()/run() advance every shard in lockstep; for K=1 the single
 //     shard's subproblem reproduces the original spec exactly, no
 //     boundary exists, and the trajectory is bitwise-identical to a
-//     monolithic ParallelLrgpEngine in the same mode.
+//     monolithic incremental ParallelLrgpEngine.
 //   * runUntilConverged() gates converged shards: a shard whose local
 //     detector fired stops stepping (and costing) until a reconcile
 //     pass changes one of its budgets.  The run is converged when every
@@ -37,9 +37,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "lrgp/engine.hpp"
@@ -74,16 +74,6 @@ struct ShardedConfig {
     /// Partitioner knobs (PartitionOptions; shards is taken from above).
     int refine_passes = 3;
     double balance_slack = 0.25;
-    /// Member-engine mode (EngineConfig::incremental).
-    bool incremental = true;
-    /// runUntilConverged() pauses shards whose local detector fired.
-    bool pause_converged = true;
-    /// Builds each shard's member engine from its subproblem.  Unset, a
-    /// single-threaded ParallelLrgpEngine (incremental per `incremental`)
-    /// is used; set it to compose other core::Engine implementations
-    /// under the shard layer (e.g. simd::vector_member_factory).
-    std::function<std::unique_ptr<core::Engine>(model::ProblemSpec, core::LrgpOptions)>
-        member_factory;
 };
 
 /// Per-shard shape and progress, for the CLI summary and tests.
@@ -187,7 +177,7 @@ private:
     };
 
     /// Wraps build_subproblems() member specs into engine-bearing
-    /// Members (EngineConfig: threads = 1, config_.incremental).
+    /// Members (single-threaded incremental ParallelLrgpEngines).
     void buildMembers(std::vector<MemberSpec> specs);
     void mergeMember(std::size_t s);
     /// Budget-weighted mean of the incident shards' prices per boundary
@@ -234,10 +224,17 @@ private:
     obs::IterationTracer* tracer_ = nullptr;
 };
 
-/// Factory mirroring core::make_engine for the sharded engine (kept in
-/// src/shard so src/lrgp does not depend upward).
-[[nodiscard]] std::unique_ptr<core::Engine> make_sharded_engine(model::ProblemSpec spec,
-                                                                core::LrgpOptions options = {},
-                                                                ShardedConfig config = {});
+/// Builds an engine by name: "serial" (LrgpOptimizer, the reference),
+/// "compiled" and "incremental" (ParallelLrgpEngine) or "sharded" (this
+/// engine).  `threads` is the compiled engines' worker count and the
+/// sharded engine's pool size (0 = hardware concurrency; serial ignores
+/// it); `shards` is read by "sharded" only.  Any other name throws
+/// std::invalid_argument listing the accepted names.  It lives here, not
+/// in src/lrgp, because src/shard is the lowest library that links all
+/// four engines.
+[[nodiscard]] std::unique_ptr<core::Engine> make_engine(std::string_view name,
+                                                        model::ProblemSpec spec,
+                                                        core::LrgpOptions options = {},
+                                                        int threads = 1, int shards = 1);
 
 }  // namespace lrgp::shard

@@ -1,0 +1,41 @@
+# Runs `lrgp_cli --load` on malformed problem files.  Each one must end in
+# a typed error: exit status 2 and an "error:" line on stderr, never an
+# abort (134) or a crash (139).
+#
+#   cmake -DCLI=<path to lrgp_cli> -DWORK_DIR=<scratch dir> -P cli_malformed_input.cmake
+if(NOT CLI OR NOT WORK_DIR)
+  message(FATAL_ERROR "usage: cmake -DCLI=<lrgp_cli> -DWORK_DIR=<dir> -P ${CMAKE_CURRENT_LIST_FILE}")
+endif()
+file(MAKE_DIRECTORY "${WORK_DIR}")
+
+# A one-class problem whose max_consumers is spliced in.
+function(one_class_problem out max_consumers)
+  set(${out} "{\"nodes\":[{\"name\":\"n\",\"capacity\":10}],\"flows\":[{\"name\":\"f\",\"source\":\"n\",\"rate_min\":1,\"rate_max\":2,\"nodes\":[{\"node\":\"n\",\"cost\":1}]}],\"classes\":[{\"name\":\"c\",\"flow\":\"f\",\"node\":\"n\",\"max_consumers\":${max_consumers},\"consumer_cost\":1,\"utility\":{\"type\":\"log\",\"weight\":1}}]}" PARENT_SCOPE)
+endfunction()
+
+file(WRITE "${WORK_DIR}/truncated.json" "{")
+file(WRITE "${WORK_DIR}/negative_capacity.json"
+  "{\"nodes\":[{\"name\":\"n\",\"capacity\":-1}],\"flows\":[],\"classes\":[]}")
+string(REPEAT "[" 2000000 deep)
+file(WRITE "${WORK_DIR}/deep_nesting.json" "${deep}")
+one_class_problem(fractional 2.5)
+file(WRITE "${WORK_DIR}/fractional_count.json" "${fractional}")
+one_class_problem(huge 1e300)
+file(WRITE "${WORK_DIR}/huge_count.json" "${huge}")
+
+set(failures "")
+foreach(name truncated negative_capacity deep_nesting fractional_count huge_count)
+  execute_process(
+    COMMAND "${CLI}" --load "${WORK_DIR}/${name}.json" --iterations 5
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr)
+  if(NOT status EQUAL 2 OR NOT stderr MATCHES "(^|\n)error: ")
+    string(APPEND failures "  ${name}.json: exit '${status}', stderr '${stderr}'\n")
+  else()
+    message(STATUS "${name}.json: exit 2, ${stderr}")
+  endif()
+endforeach()
+if(failures)
+  message(FATAL_ERROR "lrgp_cli did not fail cleanly on:\n${failures}")
+endif()

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "exp/experiment.hpp"
 #include "lrgp/optimizer.hpp"
 #include "workload/workloads.hpp"
@@ -145,6 +147,33 @@ TEST(Experiment, SchemaErrors) {
         "optimizer": {"kind": "sa"},
         "events": [{"at": 5, "action": "remove_flow", "flow": "f0_0"}]})"),
                  std::runtime_error);
+}
+
+TEST(Experiment, RejectsNonIntegralIntegerFields) {
+    // Iteration counts, event times and class maxima are checked, never
+    // cast: 2.5 must not truncate, 1e300 must not wrap.
+    for (const char* bad : {"2.5", "1e300"}) {
+        const std::string b(bad);
+        EXPECT_THROW((void)run_experiment_string(
+                         R"({"workload": {"kind": "base"},
+                             "optimizer": {"kind": "lrgp", "iterations": )" + b + "}}"),
+                     std::runtime_error)
+            << bad;
+        EXPECT_THROW((void)run_experiment_string(
+                         R"({"workload": {"kind": "base"},
+                             "optimizer": {"kind": "lrgp", "iterations": 20},
+                             "events": [{"at": )" + b +
+                         R"(, "action": "remove_flow", "flow": "f0_0"}]})"),
+                     std::runtime_error)
+            << bad;
+        EXPECT_THROW((void)run_experiment_string(
+                         R"({"workload": {"kind": "base"},
+                             "optimizer": {"kind": "lrgp", "iterations": 20},
+                             "events": [{"at": 5, "action": "set_class_max",
+                                         "class": "r0_c4", "max": )" + b + "}]}"),
+                     std::runtime_error)
+            << bad;
+    }
 }
 
 TEST(Experiment, UnknownEventTargetThrows) {

@@ -24,7 +24,6 @@
 #include "obs/tracer.hpp"
 #include "runtime/runtime.hpp"
 #include "shard/sharded_engine.hpp"
-#include "simd/vector_engine.hpp"
 #include "test_helpers.hpp"
 #include "workload/workloads.hpp"
 
@@ -143,28 +142,6 @@ TEST(Golden, IncrementalPrometheusText) {
     inc.dirty_links->add(live.counterValue("lrgp_inc_dirty_links_total"));
     inc.utility_cache_hits->add(live.counterValue("lrgp_inc_utility_cache_hits_total"));
     check_golden("prometheus_inc_text", reg.prometheusText());
-}
-
-TEST(Golden, VectorPrometheusText) {
-    if constexpr (!obs::kEnabled) GTEST_SKIP() << "built without LRGP_OBS";
-    // Drive the vector engine on the tiny problem with observability
-    // attached.  Lane occupancy and solve-kind counts are pure layout /
-    // trajectory quantities (bitwise-deterministic); the kernel ns
-    // counters are wall clocks and stay at their registered zeros in the
-    // fixture.
-    const auto t = test::make_tiny_problem();
-    obs::Registry live;
-    simd::VectorLrgpEngine engine(t.spec, {}, {.mode = simd::VectorMode::kExact});
-    engine.attachObservability(&live, nullptr);
-    engine.run(12);
-
-    obs::Registry reg;
-    const obs::VectorInstruments vec = obs::VectorInstruments::resolve(reg);
-    vec.lanes_occupied->add(live.counterValue("lrgp_vec_lanes_occupied_total"));
-    vec.lanes_masked->add(live.counterValue("lrgp_vec_lanes_masked_total"));
-    vec.bound_solves->add(live.counterValue("lrgp_vec_bound_solves_total"));
-    vec.closed_solves->add(live.counterValue("lrgp_vec_closed_solves_total"));
-    check_golden("prometheus_vec_text", reg.prometheusText());
 }
 
 TEST(Golden, ShardPrometheusText) {

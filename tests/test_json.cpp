@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/json.hpp"
 
 namespace {
@@ -85,6 +87,34 @@ TEST(Json, ParseErrors) {
     EXPECT_THROW((void)parse_json("{\"a\":1} extra"), std::runtime_error);
     EXPECT_THROW((void)parse_json("-"), std::runtime_error);
     EXPECT_THROW((void)parse_json("01x"), std::runtime_error);
+}
+
+TEST(Json, DeepNestingIsAParseError) {
+    // 256 levels parse; one more, or a hostile two million, is a typed
+    // parse error rather than a stack overflow.
+    EXPECT_NO_THROW((void)parse_json(std::string(256, '[') + std::string(256, ']')));
+    for (const std::size_t depth : {std::size_t{257}, std::size_t{2'000'000}}) {
+        try {
+            (void)parse_json(std::string(depth, '['));
+            FAIL() << "accepted " << depth << " nested arrays";
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("JSON parse error at byte 256"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::string objects;
+    for (int i = 0; i < 300; ++i) objects += R"({"a":)";
+    EXPECT_THROW((void)parse_json(objects), std::runtime_error);
+}
+
+TEST(Json, AsIntRejectsFractionalAndOutOfRange) {
+    EXPECT_EQ(parse_json("42").asInt(), 42);
+    EXPECT_EQ(parse_json("-7").asInt(), -7);
+    EXPECT_EQ(parse_json("2147483647").asInt(), 2147483647);
+    for (const char* bad : {"2.5", "1e300", "-1e300", "3e9", "-2147483649"})
+        EXPECT_THROW((void)parse_json(bad).asInt(), std::runtime_error) << bad;
+    EXPECT_THROW((void)parse_json("\"3\"").asInt(), std::runtime_error);
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/problem_json.hpp"
 #include "lrgp/optimizer.hpp"
 #include "test_helpers.hpp"
@@ -139,6 +141,22 @@ TEST(ProblemJson, RejectsUnknownUtilityType) {
         std::runtime_error);
 }
 
+TEST(ProblemJson, RejectsNonIntegralMaxConsumers) {
+    // Integer fields are checked, never cast: 2.5 must not load as 2, and
+    // 1e300 must not wrap into a negative count.
+    for (const char* max_consumers : {"2.5", "1e300"}) {
+        const std::string text =
+            std::string(R"({"nodes": [{"name":"n","capacity":10}],
+                "flows": [{"name":"f","source":"n","rate_min":1,"rate_max":2,
+                           "nodes":[{"node":"n","cost":1}]}],
+                "classes": [{"name":"c","flow":"f","node":"n","max_consumers":)") +
+            max_consumers + R"(,
+                             "consumer_cost":1,"utility":{"type":"log","weight":1}}]})";
+        EXPECT_THROW((void)io::problem_from_json_string(text), std::runtime_error)
+            << max_consumers;
+    }
+}
+
 TEST(AllocationJson, RoundTrips) {
     const auto spec = workload::make_base_workload();
     core::LrgpOptimizer opt(spec);
@@ -150,6 +168,21 @@ TEST(AllocationJson, RoundTrips) {
         EXPECT_DOUBLE_EQ(restored.rates[i], opt.allocation().rates[i]);
     for (std::size_t j = 0; j < restored.populations.size(); ++j)
         EXPECT_EQ(restored.populations[j], opt.allocation().populations[j]);
+}
+
+TEST(AllocationJson, RejectsNonIntegralPopulations) {
+    const auto spec = workload::make_base_workload();
+    const io::JsonValue json = io::allocation_to_json(spec, model::Allocation::minimal(spec));
+    const std::string& first = spec.classes().front().name;
+    for (const double population : {2.5, 1e300}) {
+        io::JsonObject root = json.asObject();
+        io::JsonObject populations = root.at("populations").asObject();
+        populations[first] = population;
+        root["populations"] = io::JsonValue(std::move(populations));
+        EXPECT_THROW((void)io::allocation_from_json(spec, io::JsonValue(std::move(root))),
+                     std::runtime_error)
+            << population;
+    }
 }
 
 TEST(AllocationJson, SizeValidated) {

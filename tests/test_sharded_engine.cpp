@@ -14,8 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "lrgp/parallel_engine.hpp"
@@ -477,6 +479,42 @@ TEST(ShardedEngine, ValidatesConfigAndArguments) {
     EXPECT_THROW(engine.run(0), std::invalid_argument);
     EXPECT_THROW(engine.runUntilConverged(0), std::invalid_argument);
     EXPECT_EQ(std::string(engine.name()), "sharded");
+}
+
+// ---------------------------------------------------------------------
+// shard::make_engine, the one name -> engine factory
+// ---------------------------------------------------------------------
+
+TEST(EngineFactory, BuildsEveryAcceptedName) {
+    const model::ProblemSpec spec = workload::make_federated_workload(small_options());
+    for (const char* name : {"serial", "compiled", "incremental"}) {
+        const std::unique_ptr<core::Engine> engine = shard::make_engine(name, spec);
+        EXPECT_EQ(std::string(engine->name()), name);
+    }
+    for (const int shards : {1, 4}) {
+        const std::unique_ptr<core::Engine> engine =
+            shard::make_engine("sharded", spec, {}, 2, shards);
+        EXPECT_EQ(std::string(engine->name()), "sharded");
+        EXPECT_EQ(dynamic_cast<const shard::ShardedLrgpEngine&>(*engine).shardCount(), shards);
+    }
+}
+
+TEST(EngineFactory, UnknownNamesListTheAcceptedOnes) {
+    const model::ProblemSpec spec = workload::make_federated_workload(small_options());
+    // The retired vector engines' names and the empty name.
+    for (const std::string& name : {std::string("vector"), std::string("vector") + "_exact",
+                                    std::string()}) {
+        try {
+            (void)shard::make_engine(name, spec);
+            FAIL() << "built an engine for '" << name << "'";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find("serial, compiled, incremental, sharded"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "utility/utility_function.hpp"
 
@@ -87,10 +88,19 @@ TEST(UtilityDescribe, MentionsShape) {
 
 // ---- property sweeps: increasing + strictly concave on [r_min, r_max] ----
 
-class UtilityProperties : public ::testing::TestWithParam<std::shared_ptr<UtilityFunction>> {};
+// The printed parameter becomes part of each ctest name, so it prints a fixed
+// label; a printed shared_ptr would embed a heap address that differs per run.
+struct Shape {
+    const char* name;
+    std::shared_ptr<UtilityFunction> u;
+};
+
+void PrintTo(const Shape& shape, std::ostream* os) { *os << shape.name; }
+
+class UtilityProperties : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(UtilityProperties, IsIncreasing) {
-    const auto& u = *GetParam();
+    const auto& u = *GetParam().u;
     double prev = u.value(10.0);
     for (double r = 20.0; r <= 1000.0; r += 10.0) {
         const double v = u.value(r);
@@ -100,7 +110,7 @@ TEST_P(UtilityProperties, IsIncreasing) {
 }
 
 TEST_P(UtilityProperties, DerivativeIsPositiveAndStrictlyDecreasing) {
-    const auto& u = *GetParam();
+    const auto& u = *GetParam().u;
     double prev = u.derivative(10.0);
     EXPECT_GT(prev, 0.0);
     for (double r = 20.0; r <= 1000.0; r += 10.0) {
@@ -112,7 +122,7 @@ TEST_P(UtilityProperties, DerivativeIsPositiveAndStrictlyDecreasing) {
 }
 
 TEST_P(UtilityProperties, DerivativeMatchesFiniteDifference) {
-    const auto& u = *GetParam();
+    const auto& u = *GetParam().u;
     for (double r : {10.0, 55.0, 200.0, 900.0}) {
         const double h = 1e-6 * r;
         const double fd = (u.value(r + h) - u.value(r - h)) / (2.0 * h);
@@ -121,7 +131,7 @@ TEST_P(UtilityProperties, DerivativeMatchesFiniteDifference) {
 }
 
 TEST_P(UtilityProperties, MidpointConcavity) {
-    const auto& u = *GetParam();
+    const auto& u = *GetParam().u;
     for (double a = 10.0; a < 900.0; a += 111.0) {
         const double b = a + 100.0;
         EXPECT_GT(u.value(0.5 * (a + b)), 0.5 * (u.value(a) + u.value(b)))
@@ -131,12 +141,13 @@ TEST_P(UtilityProperties, MidpointConcavity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, UtilityProperties,
-    ::testing::Values(std::make_shared<LogUtility>(1.0), std::make_shared<LogUtility>(100.0),
-                      std::make_shared<PowerUtility>(1.0, 0.25),
-                      std::make_shared<PowerUtility>(10.0, 0.5),
-                      std::make_shared<PowerUtility>(40.0, 0.75),
-                      std::static_pointer_cast<UtilityFunction>(std::make_shared<ScaledUtility>(
-                          3.0, std::make_shared<LogUtility>(7.0)))));
+    ::testing::Values(Shape{"log_w1", std::make_shared<LogUtility>(1.0)},
+                      Shape{"log_w100", std::make_shared<LogUtility>(100.0)},
+                      Shape{"power_w1_e0.25", std::make_shared<PowerUtility>(1.0, 0.25)},
+                      Shape{"power_w10_e0.5", std::make_shared<PowerUtility>(10.0, 0.5)},
+                      Shape{"power_w40_e0.75", std::make_shared<PowerUtility>(40.0, 0.75)},
+                      Shape{"scaled3_log_w7", std::make_shared<ScaledUtility>(
+                                                  3.0, std::make_shared<LogUtility>(7.0))}));
 
 // ---- sigmoid / step utilities (non-concave sensitivity classes) --------
 
