@@ -7,11 +7,17 @@
 //   * node b, flow i:  F_{b,i} + sum over classes j of flow i admitted
 //                      at b of G_{b,j} * n_j   (CPU units / message)
 //
-// Keeping this in one place is what makes the fastpath/sim differential
-// oracle meaningful: any divergence between the two engines is a
+// The node cost depends on the enacted populations, so the spec is
+// lowered once into a NodeCostTable — one *node slot* per (flow, node
+// hop) holding F_{b,i} and a CSR row of the flow's classes at the node
+// with their G_{b,j} — and node_message_cost(table, slot, populations)
+// is the one function that evaluates F + sum G * n.  Keeping this in
+// one place is what makes the fastpath/sim differential oracle
+// meaningful: any divergence between the two engines is a
 // queueing/batching artifact, never a cost-model fork.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "model/problem.hpp"
@@ -24,10 +30,44 @@ namespace lrgp::dataplane {
     return spec.linkCost(link, flow);
 }
 
-/// F_{b,i} + sum_j G_{b,j} n_j over classes j of flow i at node b:
-/// cost of one flow-i message processed at node b under the admitted
-/// populations `populations` (indexed by ClassId, as in Allocation).
-[[nodiscard]] double node_message_cost(const model::ProblemSpec& spec, model::NodeId node,
-                                       model::FlowId flow, const std::vector<int>& populations);
+/// The spec's node slots, numbered by (node, flow, route hop): node b's
+/// slots are [node_begin[b], node_begin[b+1]), one per flow routed
+/// through b, in flow order.  Built once per problem, read-only after.
+struct NodeCostTable {
+    std::vector<std::uint32_t> node_begin;  ///< node count + 1
+    std::vector<std::uint32_t> slot_node;   ///< NodeId per slot
+    std::vector<std::uint32_t> slot_flow;   ///< FlowId per slot
+    std::vector<double> slot_flow_cost;     ///< F_{b,i} per slot
+
+    /// Slot s's classes: [class_begin[s], class_begin[s+1]) indexes
+    /// `classes` (ClassId values, in classesAtNode order) and the
+    /// parallel `consumer_cost` (their G_{b,j}).
+    std::vector<std::uint32_t> class_begin;  ///< slot count + 1
+    std::vector<std::uint32_t> classes;
+    std::vector<double> consumer_cost;
+
+    /// Flow-major index: flow i's node slots in route order are
+    /// flow_slots[flow_begin[i] .. flow_begin[i+1]) — the fan-out list.
+    std::vector<std::uint32_t> flow_begin;  ///< flow count + 1
+    std::vector<std::uint32_t> flow_slots;
+
+    [[nodiscard]] std::size_t slotCount() const noexcept { return slot_node.size(); }
+
+    /// Lowers `spec`'s node hops (a counting sort by node).
+    /// Deterministic: equal specs give equal tables.
+    [[nodiscard]] static NodeCostTable lower(const model::ProblemSpec& spec);
+};
+
+/// F_{b,i} + sum_j G_{b,j} n_j over node slot `slot`'s classes, summed
+/// in classesAtNode order: the cost of one flow-i message processed at
+/// node b under `populations` (indexed by ClassId, as in Allocation).
+[[nodiscard]] inline double node_message_cost(const NodeCostTable& table, std::uint32_t slot,
+                                              const std::vector<int>& populations) {
+    double cost = table.slot_flow_cost[slot];
+    for (std::uint32_t c = table.class_begin[slot]; c < table.class_begin[slot + 1]; ++c) {
+        cost += table.consumer_cost[c] * static_cast<double>(populations[table.classes[c]]);
+    }
+    return cost;
+}
 
 }  // namespace lrgp::dataplane

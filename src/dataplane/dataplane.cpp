@@ -9,7 +9,10 @@
 namespace lrgp::dataplane {
 
 Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
-    : spec_(spec), options_(options), latency_(metrics::default_latency_bounds()) {
+    : spec_(spec),
+      options_(options),
+      node_costs_(NodeCostTable::lower(spec)),
+      latency_(metrics::default_latency_bounds()) {
     if (!(options_.token_bucket_depth >= 1.0))
         throw std::invalid_argument("Dataplane: token_bucket_depth must be >= 1");
     if (options_.queue_capacity < 1)
@@ -27,11 +30,10 @@ Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
     window_.assign(spec_.classCount(), 0);
 
     link_chain_.resize(flows);
-    node_hops_.resize(flows);
     for (std::size_t i = 0; i < flows; ++i) {
-        const model::FlowSpec& flow = spec_.flows()[i];
-        for (const model::FlowLinkHop& hop : flow.links) link_chain_[i].push_back(hop.link);
-        for (const model::FlowNodeHop& hop : flow.nodes) node_hops_[i].push_back(hop.node);
+        for (const model::FlowLinkHop& hop : spec_.flows()[i].links) {
+            link_chain_[i].push_back(hop.link);
+        }
     }
 
     // Servers and sources schedule lambdas capturing their own address;
@@ -59,8 +61,8 @@ Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
         const model::NodeId node{static_cast<std::uint32_t>(b)};
         node_servers_.emplace_back(
             simulator_, spec_.node(node).capacity, options_.queue_capacity,
-            [this, node](const DataMessage& message) { return nodeMessageCost(node, message); },
-            [this, node](const DataMessage& message) { deliverAtNode(node, message); });
+            [this](const DataMessage& message) { return nodeMessageCost(message); },
+            [this](const DataMessage& message) { deliverAtNode(message); });
     }
 
     scheduleSampler();
@@ -146,8 +148,11 @@ void Dataplane::forwardAfterLink(const DataMessage& message) {
 }
 
 void Dataplane::fanOutToNodes(const DataMessage& message) {
-    for (const model::NodeId node : node_hops_[message.flow]) {
-        if (!node_servers_[node.index()].arrive(message)) {
+    DataMessage copy = message;
+    for (std::uint32_t t = node_costs_.flow_begin[message.flow];
+         t < node_costs_.flow_begin[message.flow + 1]; ++t) {
+        copy.node_slot = node_costs_.flow_slots[t];
+        if (!node_servers_[node_costs_.slot_node[copy.node_slot]].arrive(copy)) {
             ++dropped_node_;
             if constexpr (obs::kEnabled) {
                 if (obs_attached_) obs_.dropped_node->add();
@@ -156,17 +161,18 @@ void Dataplane::fanOutToNodes(const DataMessage& message) {
     }
 }
 
-double Dataplane::nodeMessageCost(model::NodeId node, const DataMessage& message) const {
-    return node_message_cost(spec_, node, model::FlowId{message.flow}, enacted_.populations);
+double Dataplane::nodeMessageCost(const DataMessage& message) const {
+    return node_message_cost(node_costs_, message.node_slot, enacted_.populations);
 }
 
-void Dataplane::deliverAtNode(model::NodeId node, const DataMessage& message) {
-    const model::FlowId flow{message.flow};
-    for (const model::ClassId j : spec_.classesAtNode(node)) {
-        const model::ClassSpec& cls = spec_.consumerClass(j);
-        if (cls.flow != flow || enacted_.populations[j.index()] <= 0) continue;
-        ++delivered_[j.index()];
-        ++window_[j.index()];
+void Dataplane::deliverAtNode(const DataMessage& message) {
+    const std::uint32_t slot = message.node_slot;
+    for (std::uint32_t c = node_costs_.class_begin[slot]; c < node_costs_.class_begin[slot + 1];
+         ++c) {
+        const std::uint32_t j = node_costs_.classes[c];
+        if (enacted_.populations[j] <= 0) continue;
+        ++delivered_[j];
+        ++window_[j];
         const double latency = simulator_.now() - message.emitted_at;
         latency_.observe(latency);
         if constexpr (obs::kEnabled) {

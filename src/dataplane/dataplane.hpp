@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "dataplane/cost_model.hpp"
 #include "dataplane/server.hpp"
 #include "dataplane/stats.hpp"
 #include "dataplane/traffic_source.hpp"
@@ -113,8 +114,8 @@ private:
     void emitFromSource(const DataMessage& message);
     void forwardAfterLink(const DataMessage& message);
     void fanOutToNodes(const DataMessage& message);
-    void deliverAtNode(model::NodeId node, const DataMessage& message);
-    [[nodiscard]] double nodeMessageCost(model::NodeId node, const DataMessage& message) const;
+    void deliverAtNode(const DataMessage& message);
+    [[nodiscard]] double nodeMessageCost(const DataMessage& message) const;
     void scheduleSampler();
     void takeSample();
 
@@ -126,7 +127,7 @@ private:
     std::vector<QueueServer> link_servers_;              ///< by link
     std::vector<QueueServer> node_servers_;              ///< by node
     std::vector<std::vector<model::LinkId>> link_chain_; ///< by flow, in route order
-    std::vector<std::vector<model::NodeId>> node_hops_;  ///< by flow
+    NodeCostTable node_costs_;  ///< node slots; flow_slots is each flow's fan-out
 
     model::Allocation enacted_;  ///< rates all zero until the first enact()
     model::Allocation planned_;

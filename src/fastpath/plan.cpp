@@ -1,10 +1,5 @@
 #include "fastpath/plan.hpp"
 
-#include <algorithm>
-#include <map>
-
-#include "dataplane/cost_model.hpp"
-
 namespace lrgp::fastpath {
 
 CompiledPlan CompiledPlan::lower(const model::ProblemSpec& spec) {
@@ -13,63 +8,50 @@ CompiledPlan CompiledPlan::lower(const model::ProblemSpec& spec) {
     plan.link_count = spec.linkCount();
     plan.node_count = spec.nodeCount();
     plan.class_count = spec.classCount();
+    plan.nodes = dataplane::NodeCostTable::lower(spec);
 
+    // Link slots: a counting sort by link.  Flows visit in id order, so
+    // each link's slots come out in flow order.
+    std::vector<std::uint32_t> link_begin(plan.link_count + 1, 0);
+    for (const model::FlowSpec& flow : spec.flows()) {
+        for (const model::FlowLinkHop& hop : flow.links) ++link_begin[hop.link.index() + 1];
+    }
+    for (std::size_t l = 0; l < plan.link_count; ++l) link_begin[l + 1] += link_begin[l];
+    const std::size_t link_slots = link_begin[plan.link_count];
+    plan.link_slot_link.resize(link_slots);
+    plan.link_slot_flow.resize(link_slots);
+    plan.link_slot_cost.resize(link_slots);
+    plan.link_slot_next.resize(link_slots);
     plan.flow_link_begin.reserve(plan.flow_count + 1);
-    plan.flow_node_begin.reserve(plan.flow_count + 1);
     plan.flow_link_begin.push_back(0);
-    plan.flow_node_begin.push_back(0);
+    plan.flow_link_slots.reserve(link_slots);
+    std::vector<std::uint32_t> cursor(link_begin.begin(), link_begin.end() - 1);
     for (std::size_t i = 0; i < plan.flow_count; ++i) {
-        const model::FlowSpec& flow = spec.flows()[i];
         const model::FlowId flow_id{static_cast<std::uint32_t>(i)};
-        for (const model::FlowLinkHop& hop : flow.links) {
-            plan.link_slot_link.push_back(hop.link.index());
-            plan.link_slot_flow.push_back(flow_id.index());
-            plan.link_slot_cost.push_back(dataplane::link_message_cost(spec, hop.link, flow_id));
-        }
-        for (const model::FlowNodeHop& hop : flow.nodes) {
-            plan.node_slot_node.push_back(hop.node.index());
-            plan.node_slot_flow.push_back(flow_id.index());
-            plan.node_slot_class_begin.push_back(0);  // filled below
-            for (const model::ClassId j : spec.classesAtNode(hop.node)) {
-                if (spec.consumerClass(j).flow == flow_id) {
-                    plan.node_slot_classes.push_back(j.index());
-                }
+        for (const model::FlowLinkHop& hop : spec.flows()[i].links) {
+            const std::uint32_t s = cursor[hop.link.index()]++;
+            plan.link_slot_link[s] = hop.link.index();
+            plan.link_slot_flow[s] = flow_id.index();
+            plan.link_slot_cost[s] = dataplane::link_message_cost(spec, hop.link, flow_id);
+            plan.link_slot_next[s] = kChainEnd;
+            if (plan.flow_link_slots.size() > plan.flow_link_begin.back()) {
+                plan.link_slot_next[plan.flow_link_slots.back()] = s;
             }
-            plan.node_slot_class_begin.back() =
-                static_cast<std::uint32_t>(plan.node_slot_classes.size());
+            plan.flow_link_slots.push_back(s);
         }
-        plan.flow_link_begin.push_back(static_cast<std::uint32_t>(plan.link_slot_link.size()));
-        plan.flow_node_begin.push_back(static_cast<std::uint32_t>(plan.node_slot_node.size()));
+        plan.flow_link_begin.push_back(static_cast<std::uint32_t>(plan.flow_link_slots.size()));
     }
-    // node_slot_class_begin was filled with per-slot *end* offsets; turn
-    // it into the CSR begin array by shifting one slot right.
-    plan.node_slot_class_begin.insert(plan.node_slot_class_begin.begin(), 0);
 
-    // One group per entity, covering all its slots.  Slots accumulate
-    // ascending (= flow order, route order within a flow); entities emit
-    // in id order (std::map), links before nodes — all fixed at
-    // lowering time, so serve order never depends on worker count.
-    std::map<std::uint32_t, std::vector<std::uint32_t>> link_buckets;
-    std::map<std::uint32_t, std::vector<std::uint32_t>> node_buckets;
-    for (std::uint32_t s = 0; s < plan.linkSlotCount(); ++s) {
-        link_buckets[plan.link_slot_link[s]].push_back(s);
-    }
-    for (std::uint32_t s = 0; s < plan.nodeSlotCount(); ++s) {
-        node_buckets[plan.node_slot_node[s]].push_back(s);
-    }
-    const auto emit = [&plan](bool is_node, const auto& buckets) {
-        for (const auto& [entity, slots] : buckets) {
-            GateGroup group;
-            group.is_node = is_node;
-            group.entity = entity;
-            group.slots_begin = static_cast<std::uint32_t>(plan.group_slots.size());
-            plan.group_slots.insert(plan.group_slots.end(), slots.begin(), slots.end());
-            group.slots_end = static_cast<std::uint32_t>(plan.group_slots.size());
-            plan.groups.push_back(group);
+    // One group per entity with slots: links, then nodes, both by id.
+    const auto emit = [&plan](bool is_node, const std::vector<std::uint32_t>& begin) {
+        for (std::size_t e = 0; e + 1 < begin.size(); ++e) {
+            if (begin[e] == begin[e + 1]) continue;
+            plan.groups.push_back(
+                GateGroup{is_node, static_cast<std::uint32_t>(e), begin[e], begin[e + 1]});
         }
     };
-    emit(false, link_buckets);
-    emit(true, node_buckets);
+    emit(false, link_begin);
+    emit(true, plan.nodes.node_begin);
     return plan;
 }
 
