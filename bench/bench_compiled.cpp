@@ -254,8 +254,7 @@ int main() {
     // above stay untouched) reports the engine's work counters and what
     // attaching a registry costs per iteration.
     io::JsonObject obs_cols;
-    obs_cols["enabled"] = lrgp::obs::kEnabled;
-    if constexpr (lrgp::obs::kEnabled) {
+    {
         lrgp::obs::Registry registry;
         core::ParallelLrgpEngine instrumented(spec, {}, {.threads = 1});
         instrumented.attachObservability(&registry, nullptr);

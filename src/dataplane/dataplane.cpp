@@ -78,9 +78,7 @@ void Dataplane::enact(const model::Allocation& allocation) {
     }
     enacted_ = allocation;
     ++enactments_;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) obs_.enactments->add();
-    }
+    if (obs_attached_) obs_.enactments->add();
 }
 
 void Dataplane::notePlanned(const model::Allocation& allocation) {
@@ -107,9 +105,7 @@ void Dataplane::setNodeCapacity(model::NodeId node, double capacity) {
 void Dataplane::runUntil(sim::SimTime until) { simulator_.runUntil(until); }
 
 void Dataplane::emitFromSource(const DataMessage& message) {
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) obs_.emitted->add();
-    }
+    if (obs_attached_) obs_.emitted->add();
     const auto& chain = link_chain_[message.flow];
     if (chain.empty()) {
         simulator_.schedule(options_.propagation_delay,
@@ -120,9 +116,7 @@ void Dataplane::emitFromSource(const DataMessage& message) {
     simulator_.schedule(options_.propagation_delay, [this, first, message] {
         if (!link_servers_[first.index()].arrive(message)) {
             ++dropped_link_;
-            if constexpr (obs::kEnabled) {
-                if (obs_attached_) obs_.dropped_link->add();
-            }
+            if (obs_attached_) obs_.dropped_link->add();
         }
     });
 }
@@ -137,9 +131,7 @@ void Dataplane::forwardAfterLink(const DataMessage& message) {
         simulator_.schedule(options_.propagation_delay, [this, next, forwarded] {
             if (!link_servers_[next.index()].arrive(forwarded)) {
                 ++dropped_link_;
-                if constexpr (obs::kEnabled) {
-                    if (obs_attached_) obs_.dropped_link->add();
-                }
+                if (obs_attached_) obs_.dropped_link->add();
             }
         });
         return;
@@ -154,9 +146,7 @@ void Dataplane::fanOutToNodes(const DataMessage& message) {
         copy.node_slot = node_costs_.flow_slots[t];
         if (!node_servers_[node_costs_.slot_node[copy.node_slot]].arrive(copy)) {
             ++dropped_node_;
-            if constexpr (obs::kEnabled) {
-                if (obs_attached_) obs_.dropped_node->add();
-            }
+            if (obs_attached_) obs_.dropped_node->add();
         }
     }
 }
@@ -175,11 +165,9 @@ void Dataplane::deliverAtNode(const DataMessage& message) {
         ++window_[j];
         const double latency = simulator_.now() - message.emitted_at;
         latency_.observe(latency);
-        if constexpr (obs::kEnabled) {
-            if (obs_attached_) {
-                obs_.delivered->add();
-                obs_.latency->observe(latency);
-            }
+        if (obs_attached_) {
+            obs_.delivered->add();
+            obs_.latency->observe(latency);
         }
     }
 }
@@ -205,16 +193,14 @@ void Dataplane::takeSample() {
     achieved_trace_.append(achieved);
     planned_trace_.append(planned);
     std::fill(window_.begin(), window_.end(), std::uint64_t{0});
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) {
-            obs_.achieved_utility->set(achieved);
-            obs_.planned_utility->set(planned);
-            std::uint64_t shaped = 0;
-            for (const TrafficSource& source : sources_) shaped += source.shaped();
-            if (shaped > obs_shaped_reported_) {
-                obs_.shaped->add(shaped - obs_shaped_reported_);
-                obs_shaped_reported_ = shaped;
-            }
+    if (obs_attached_) {
+        obs_.achieved_utility->set(achieved);
+        obs_.planned_utility->set(planned);
+        std::uint64_t shaped = 0;
+        for (const TrafficSource& source : sources_) shaped += source.shaped();
+        if (shaped > obs_shaped_reported_) {
+            obs_.shaped->add(shaped - obs_shaped_reported_);
+            obs_shaped_reported_ = shaped;
         }
     }
 }
@@ -305,13 +291,10 @@ std::string Dataplane::statsJson(bool pretty) const {
 }
 
 void Dataplane::attachObservability(obs::Registry* registry) {
-    (void)registry;  // unused when compiled without LRGP_OBS
-    if constexpr (obs::kEnabled) {
-        if (registry != nullptr) {
-            obs_ = obs::DataplaneInstruments::resolve(*registry);
-            obs_attached_ = true;
-            return;
-        }
+    if (registry != nullptr) {
+        obs_ = obs::DataplaneInstruments::resolve(*registry);
+        obs_attached_ = true;
+        return;
     }
     obs_ = obs::DataplaneInstruments{};
     obs_attached_ = false;

@@ -21,7 +21,7 @@ faults::AgentRef linkRef(model::LinkId id) {
     return {faults::AgentKind::kLink, static_cast<std::uint32_t>(id.value)};
 }
 
-[[maybe_unused]] const char* agent_kind_name(faults::AgentKind kind) {
+const char* agent_kind_name(faults::AgentKind kind) {
     switch (kind) {
         case faults::AgentKind::kSource: return "source";
         case faults::AgentKind::kNode: return "node";
@@ -678,17 +678,15 @@ void DistLrgp::validateFaultPlanAgents() const {
 void DistLrgp::sendMessage(const faults::MessageContext& ctx, std::optional<double> price,
                            std::function<void(double)> handler) {
     ++messages_sent_;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) {
-            switch (ctx.kind) {
-                case faults::MessageKind::kRate: dist_instr_.sent_rate->add(1); break;
-                case faults::MessageKind::kNodeReport:
-                    dist_instr_.sent_node_report->add(1);
-                    break;
-                case faults::MessageKind::kLinkReport:
-                    dist_instr_.sent_link_report->add(1);
-                    break;
-            }
+    if (obs_attached_) {
+        switch (ctx.kind) {
+            case faults::MessageKind::kRate: dist_instr_.sent_rate->add(1); break;
+            case faults::MessageKind::kNodeReport:
+                dist_instr_.sent_node_report->add(1);
+                break;
+            case faults::MessageKind::kLinkReport:
+                dist_instr_.sent_link_report->add(1);
+                break;
         }
     }
     if (options_.message_loss_probability > 0.0) {
@@ -699,8 +697,7 @@ void DistLrgp::sendMessage(const faults::MessageContext& ctx, std::optional<doub
         const double unit = static_cast<double>(loss_rng_state_ >> 11) * 0x1.0p-53;
         if (unit < options_.message_loss_probability) {
             ++messages_lost_;
-            if constexpr (obs::kEnabled)
-                if (obs_attached_) dist_instr_.dropped_loss->add(1);
+            if (obs_attached_) dist_instr_.dropped_loss->add(1);
             return;  // dropped in transit
         }
     }
@@ -710,8 +707,7 @@ void DistLrgp::sendMessage(const faults::MessageContext& ctx, std::optional<doub
         const faults::FaultDecision decision = injector_->onMessage(ctx, simulator_.now());
         if (decision.drop) {
             ++messages_lost_;
-            if constexpr (obs::kEnabled)
-                if (obs_attached_) dist_instr_.dropped_fault->add(1);
+            if (obs_attached_) dist_instr_.dropped_fault->add(1);
             return;
         }
         extra_delay = decision.extra_delay;
@@ -719,8 +715,7 @@ void DistLrgp::sendMessage(const faults::MessageContext& ctx, std::optional<doub
     }
     simulator_.schedule(latency_.sample() + extra_delay,
                         [this, h = std::move(handler), payload] {
-                            if constexpr (obs::kEnabled)
-                                if (obs_attached_) dist_instr_.delivered->add(1);
+                            if (obs_attached_) dist_instr_.delivered->add(1);
                             h(payload);
                         });
 }
@@ -755,12 +750,10 @@ void DistLrgp::crashAgent(faults::AgentRef agent) {
         }
     }
     if (injector_) injector_->noteCrash();
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) dist_instr_.crashes->add(1);
-        if (tracer_)
-            tracer_->instant("crash", "dist", agent.index, simMicros(),
-                             {{"kind", std::string(agent_kind_name(agent.kind))}});
-    }
+    if (obs_attached_) dist_instr_.crashes->add(1);
+    if (tracer_)
+        tracer_->instant("crash", "dist", agent.index, simMicros(),
+                         {{"kind", std::string(agent_kind_name(agent.kind))}});
 }
 
 void DistLrgp::restartAgent(faults::AgentRef agent) {
@@ -788,12 +781,10 @@ void DistLrgp::restartAgent(faults::AgentRef agent) {
         }
     }
     if (injector_) injector_->noteRestart();
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) dist_instr_.restarts->add(1);
-        if (tracer_)
-            tracer_->instant("restart", "dist", agent.index, simMicros(),
-                             {{"kind", std::string(agent_kind_name(agent.kind))}});
-    }
+    if (obs_attached_) dist_instr_.restarts->add(1);
+    if (tracer_)
+        tracer_->instant("restart", "dist", agent.index, simMicros(),
+                         {{"kind", std::string(agent_kind_name(agent.kind))}});
 }
 
 bool DistLrgp::agentDown(faults::AgentRef agent) const {
@@ -810,43 +801,31 @@ faults::FaultStats DistLrgp::faultStats() const {
 }
 
 void DistLrgp::attachObservability(obs::Registry* registry, obs::IterationTracer* tracer) {
-    if constexpr (obs::kEnabled) {
-        if (registry != nullptr) {
-            dist_instr_ = obs::DistInstruments::resolve(*registry);
-            alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
-            rate_allocator_.setInstruments(&alloc_instr_);
-            greedy_allocator_.setInstruments(&alloc_instr_);
-            obs_attached_ = true;
-        } else {
-            rate_allocator_.setInstruments(nullptr);
-            greedy_allocator_.setInstruments(nullptr);
-            obs_attached_ = false;
-        }
-        tracer_ = tracer;
+    if (registry != nullptr) {
+        dist_instr_ = obs::DistInstruments::resolve(*registry);
+        alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
+        rate_allocator_.setInstruments(&alloc_instr_);
+        greedy_allocator_.setInstruments(&alloc_instr_);
+        obs_attached_ = true;
     } else {
-        (void)registry;
-        (void)tracer;
+        rate_allocator_.setInstruments(nullptr);
+        greedy_allocator_.setInstruments(nullptr);
+        obs_attached_ = false;
     }
+    tracer_ = tracer;
 }
 
 void DistLrgp::noteSuspicion(const char* who) {
     ++suspicion_events_;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) dist_instr_.suspicions->add(1);
-        if (tracer_)
-            tracer_->instant("suspicion", "dist", 0, simMicros(),
-                             {{"watcher", std::string(who)}});
-    } else {
-        (void)who;
-    }
+    if (obs_attached_) dist_instr_.suspicions->add(1);
+    if (tracer_)
+        tracer_->instant("suspicion", "dist", 0, simMicros(), {{"watcher", std::string(who)}});
 }
 
 void DistLrgp::noteReannouncement() {
     ++reannouncements_;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) dist_instr_.reannouncements->add(1);
-        if (tracer_) tracer_->instant("reannounce", "dist", 0, simMicros());
-    }
+    if (obs_attached_) dist_instr_.reannouncements->add(1);
+    if (tracer_) tracer_->instant("reannounce", "dist", 0, simMicros());
 }
 
 void DistLrgp::startSyncRound() {
@@ -882,10 +861,8 @@ void DistLrgp::scheduleSampler() {
         const model::Allocation allocation = snapshot();
         const double utility = model::total_utility(spec_, allocation);
         trace_.append(utility);
-        if constexpr (obs::kEnabled) {
-            if (obs_attached_) dist_instr_.utility->set(utility);
-            if (tracer_) tracer_->counterSample("dist_utility", 0, simMicros(), utility);
-        }
+        if (obs_attached_) dist_instr_.utility->set(utility);
+        if (tracer_) tracer_->counterSample("dist_utility", 0, simMicros(), utility);
         if (sample_callback_) sample_callback_(simulator_.now(), allocation);
         scheduleSampler();
     });
@@ -913,18 +890,16 @@ void DistLrgp::onRoundCompletedAtNode(int round, const NodeAgent& agent) {
         completed_rounds_ = std::max(completed_rounds_, round);
         const double utility = model::total_utility(spec_, allocation);
         trace_.append(utility);
-        if constexpr (obs::kEnabled) {
-            if (obs_attached_) {
-                dist_instr_.rounds->add(1);
-                dist_instr_.utility->set(utility);
-            }
-            if (tracer_) {
-                tracer_->counterSample("dist_utility", 0, simMicros(), utility);
-                tracer_->instant("round_complete", "dist",
-                                 static_cast<std::uint32_t>(round), simMicros(),
-                                 {{"round", static_cast<double>(round)},
-                                  {"utility", utility}});
-            }
+        if (obs_attached_) {
+            dist_instr_.rounds->add(1);
+            dist_instr_.utility->set(utility);
+        }
+        if (tracer_) {
+            tracer_->counterSample("dist_utility", 0, simMicros(), utility);
+            tracer_->instant("round_complete", "dist",
+                             static_cast<std::uint32_t>(round), simMicros(),
+                             {{"round", static_cast<double>(round)},
+                              {"utility", utility}});
         }
         if (sample_callback_) sample_callback_(simulator_.now(), allocation);
     }

@@ -170,8 +170,7 @@ public:
     /// causes, suspicion/reannouncement/crash counters, round counter,
     /// utility gauge) and optionally a tracer.  Tracer timestamps use
     /// *simulated* time, so traces are deterministic per (problem,
-    /// options, seed).  Pass nullptrs to detach; a no-op without
-    /// LRGP_OBS.
+    /// options, seed).  Pass nullptrs to detach.
     void attachObservability(obs::Registry* registry, obs::IterationTracer* tracer = nullptr);
 
 private:

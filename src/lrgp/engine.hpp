@@ -103,7 +103,7 @@ public:
     // -- observability ----------------------------------------------------
 
     /// Attaches a metrics registry (and optionally a tracer); pass
-    /// nullptrs to detach.  A no-op in builds without LRGP_OBS.
+    /// nullptrs to detach.
     virtual void attachObservability(obs::Registry* registry,
                                      obs::IterationTracer* tracer = nullptr) = 0;
 

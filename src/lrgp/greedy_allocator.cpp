@@ -73,12 +73,10 @@ NodeAllocationResult GreedyConsumerAllocator::allocate(model::NodeId node,
     }
 
     result.used = capacity - remaining;
-    if constexpr (obs::kEnabled) {
-        if (instruments_) {
-            instruments_->greedy_allocations->add(1);
-            instruments_->greedy_candidates->add(ranked.size());
-            instruments_->greedy_admitted->add(static_cast<std::uint64_t>(total_admitted));
-        }
+    if (instruments_) {
+        instruments_->greedy_allocations->add(1);
+        instruments_->greedy_candidates->add(ranked.size());
+        instruments_->greedy_admitted->add(static_cast<std::uint64_t>(total_admitted));
     }
     return result;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/scoped_timer.hpp"
+#include "obs/clock.hpp"
 
 namespace lrgp::core {
 
@@ -29,18 +29,15 @@ LrgpOptimizer::LrgpOptimizer(model::ProblemSpec spec, LrgpOptions options)
 }
 
 const IterationRecord& LrgpOptimizer::step() {
-    // Observability bookkeeping (compiled out without LRGP_OBS; one
-    // branch per iteration when nothing is attached).
-    [[maybe_unused]] bool obs_on = false;
-    [[maybe_unused]] std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-    [[maybe_unused]] std::uint64_t rate_solves = 0;
-    [[maybe_unused]] std::uint64_t node_moves = 0, link_moves = 0;
-    [[maybe_unused]] long long admitted_total = 0;
-    if constexpr (obs::kEnabled) {
-        obs_on = obs_attached_;
-        if (tracer_) tracer_->beginIteration(static_cast<std::uint64_t>(iteration_) + 1);
-        if (obs_on) t0 = obs::monotonic_ns();
-    }
+    // Observability bookkeeping (one branch per iteration when nothing
+    // is attached).
+    const bool obs_on = obs_attached_;
+    std::uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
+    std::uint64_t rate_solves = 0;
+    std::uint64_t node_moves = 0, link_moves = 0;
+    long long admitted_total = 0;
+    if (tracer_) tracer_->beginIteration(static_cast<std::uint64_t>(iteration_) + 1);
+    if (obs_on) t0 = obs::monotonic_ns();
 
     // 1. Rate allocation at each active flow source (Algorithm 1): uses
     //    the previous iteration's populations and prices.
@@ -48,10 +45,9 @@ const IterationRecord& LrgpOptimizer::step() {
         if (!f.active) continue;
         allocation_.rates[f.id.index()] =
             rate_allocator_.computeRate(f.id, allocation_.populations, prices_).rate;
-        if constexpr (obs::kEnabled) ++rate_solves;
+        ++rate_solves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_on) t1 = obs::monotonic_ns();
+    if (obs_on) t1 = obs::monotonic_ns();
 
     // 2. Greedy consumer allocation at each node (Algorithm 2), and
     // 3. node price update (Eq. 12).
@@ -60,21 +56,17 @@ const IterationRecord& LrgpOptimizer::step() {
         for (const auto& [cls, n] : result.populations) allocation_.populations[cls.index()] = n;
         prices_.node[b.id.index()] =
             node_prices_[b.id.index()].update(result.best_unmet_bc, result.used, b.capacity);
-        if constexpr (obs::kEnabled)
-            if (obs_on && node_prices_[b.id.index()].lastMoved()) ++node_moves;
+        if (obs_on && node_prices_[b.id.index()].lastMoved()) ++node_moves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_on) t2 = obs::monotonic_ns();
+    if (obs_on) t2 = obs::monotonic_ns();
 
     // 4. Link price update (Eq. 13) with the fresh rates.
     for (const model::LinkSpec& l : spec_.links()) {
         const double usage = model::link_usage(spec_, allocation_, l.id);
         prices_.link[l.id.index()] = link_prices_[l.id.index()].update(usage, l.capacity);
-        if constexpr (obs::kEnabled)
-            if (obs_on && link_prices_[l.id.index()].lastMoved()) ++link_moves;
+        if (obs_on && link_prices_[l.id.index()].lastMoved()) ++link_moves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_on) t3 = obs::monotonic_ns();
+    if (obs_on) t3 = obs::monotonic_ns();
 
     ++iteration_;
     last_record_.iteration = iteration_;
@@ -84,69 +76,60 @@ const IterationRecord& LrgpOptimizer::step() {
     trace_.append(last_record_.utility);
     detector_.addSample(last_record_.utility);
 
-    if constexpr (obs::kEnabled) {
-        if (obs_on) {
-            const std::uint64_t t4 = obs::monotonic_ns();
-            instr_.iterations->add(1);
-            instr_.rate_solves->add(rate_solves);
-            instr_.node_price_moves->add(node_moves);
-            instr_.link_price_moves->add(link_moves);
-            for (int n : allocation_.populations) admitted_total += n;
-            instr_.admissions->add(static_cast<std::uint64_t>(admitted_total));
-            instr_.utility->set(last_record_.utility);
-            instr_.admitted_consumers->set(static_cast<double>(admitted_total));
-            instr_.phase_rate->observe(static_cast<double>(t1 - t0) * 1e-9);
-            instr_.phase_node->observe(static_cast<double>(t2 - t1) * 1e-9);
-            instr_.phase_link->observe(static_cast<double>(t3 - t2) * 1e-9);
-            instr_.phase_reduce->observe(static_cast<double>(t4 - t3) * 1e-9);
-            instr_.iter_seconds->observe(static_cast<double>(t4 - t0) * 1e-9);
-        }
-        if (tracer_ && tracer_->sampling()) {
-            const double origin = tracer_->nowMicros();
-            const auto us = [&](std::uint64_t a, std::uint64_t b) {
-                return static_cast<double>(b - a) * 1e-3;
-            };
-            const std::uint64_t t4 = obs_on ? obs::monotonic_ns() : 0;
-            const double ts0 = origin - us(t0, t4);
-            tracer_->complete("rate_phase", "lrgp", 0, ts0, us(t0, t1));
-            tracer_->complete("node_phase", "lrgp", 0, ts0 + us(t0, t1), us(t1, t2));
-            tracer_->complete("link_phase", "lrgp", 0, ts0 + us(t0, t2), us(t2, t3));
-            tracer_->complete("iteration", "lrgp", 0, ts0, us(t0, t4),
-                              {{"iteration", static_cast<double>(iteration_)},
-                               {"utility", last_record_.utility},
-                               {"admitted", static_cast<double>(admitted_total)}});
-            tracer_->counterSample("utility", 0, origin, last_record_.utility);
-        }
+    if (obs_on) {
+        const std::uint64_t t4 = obs::monotonic_ns();
+        instr_.iterations->add(1);
+        instr_.rate_solves->add(rate_solves);
+        instr_.node_price_moves->add(node_moves);
+        instr_.link_price_moves->add(link_moves);
+        for (int n : allocation_.populations) admitted_total += n;
+        instr_.admissions->add(static_cast<std::uint64_t>(admitted_total));
+        instr_.utility->set(last_record_.utility);
+        instr_.admitted_consumers->set(static_cast<double>(admitted_total));
+        instr_.phase_rate->observe(static_cast<double>(t1 - t0) * 1e-9);
+        instr_.phase_node->observe(static_cast<double>(t2 - t1) * 1e-9);
+        instr_.phase_link->observe(static_cast<double>(t3 - t2) * 1e-9);
+        instr_.phase_reduce->observe(static_cast<double>(t4 - t3) * 1e-9);
+        instr_.iter_seconds->observe(static_cast<double>(t4 - t0) * 1e-9);
+    }
+    if (tracer_ && tracer_->sampling()) {
+        const double origin = tracer_->nowMicros();
+        const auto us = [&](std::uint64_t a, std::uint64_t b) {
+            return static_cast<double>(b - a) * 1e-3;
+        };
+        const std::uint64_t t4 = obs_on ? obs::monotonic_ns() : 0;
+        const double ts0 = origin - us(t0, t4);
+        tracer_->complete("rate_phase", "lrgp", 0, ts0, us(t0, t1));
+        tracer_->complete("node_phase", "lrgp", 0, ts0 + us(t0, t1), us(t1, t2));
+        tracer_->complete("link_phase", "lrgp", 0, ts0 + us(t0, t2), us(t2, t3));
+        tracer_->complete("iteration", "lrgp", 0, ts0, us(t0, t4),
+                          {{"iteration", static_cast<double>(iteration_)},
+                           {"utility", last_record_.utility},
+                           {"admitted", static_cast<double>(admitted_total)}});
+        tracer_->counterSample("utility", 0, origin, last_record_.utility);
     }
     return last_record_;
 }
 
 void LrgpOptimizer::attachObservability(obs::Registry* registry, obs::IterationTracer* tracer) {
-    if constexpr (obs::kEnabled) {
-        if (registry != nullptr) {
-            instr_ = obs::SolverInstruments::resolve(*registry);
-            alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
-            rate_allocator_.setInstruments(&alloc_instr_);
-            greedy_allocator_.setInstruments(&alloc_instr_);
-            obs_attached_ = true;
-        } else {
-            rate_allocator_.setInstruments(nullptr);
-            greedy_allocator_.setInstruments(nullptr);
-            obs_attached_ = false;
-        }
-        tracer_ = tracer;
+    if (registry != nullptr) {
+        instr_ = obs::SolverInstruments::resolve(*registry);
+        alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
+        rate_allocator_.setInstruments(&alloc_instr_);
+        greedy_allocator_.setInstruments(&alloc_instr_);
+        obs_attached_ = true;
     } else {
-        (void)registry;
-        (void)tracer;
+        rate_allocator_.setInstruments(nullptr);
+        greedy_allocator_.setInstruments(nullptr);
+        obs_attached_ = false;
     }
+    tracer_ = tracer;
 }
 
 void LrgpOptimizer::noteConvergenceReset() {
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) instr_.convergence_resets->add(1);
-        if (tracer_ && tracer_->sampling())
-            tracer_->instant("convergence_reset", "lrgp", 0, tracer_->nowMicros());
-    }
+    if (obs_attached_) instr_.convergence_resets->add(1);
+    if (tracer_ && tracer_->sampling())
+        tracer_->instant("convergence_reset", "lrgp", 0, tracer_->nowMicros());
 }
 
 const IterationRecord& LrgpOptimizer::run(int iterations) {

@@ -79,8 +79,8 @@ public:
     /// Attaches a metrics registry (and optionally a tracer) to this
     /// optimizer: iteration/phase timings, rate-solve and admission
     /// counters, price-move counts and the utility gauge are recorded on
-    /// every subsequent step().  Pass nullptrs to detach.  A no-op in
-    /// builds without LRGP_OBS (metric names in docs/observability.md).
+    /// every subsequent step().  Pass nullptrs to detach (metric names in
+    /// docs/observability.md).
     void attachObservability(obs::Registry* registry,
                              obs::IterationTracer* tracer = nullptr) override;
 
@@ -111,7 +111,7 @@ private:
     GreedyConsumerAllocator greedy_allocator_;
 
     // Observability (all null until attachObservability): resolved once,
-    // touched behind `if constexpr (obs::kEnabled)` + null checks.
+    // touched behind `obs_attached_` and null checks.
     obs::SolverInstruments instr_;
     obs::AllocatorInstruments alloc_instr_;
     bool obs_attached_ = false;

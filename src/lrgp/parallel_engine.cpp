@@ -1,27 +1,15 @@
 #include "lrgp/parallel_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 #include "lrgp/greedy_allocator.hpp"
 #include "model/allocation.hpp"
-#include "obs/scoped_timer.hpp"
+#include "obs/clock.hpp"
 #include "utility/rate_objective.hpp"
 
 namespace lrgp::core {
-
-namespace {
-
-inline std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-}  // namespace
 
 /// One benefit-cost candidate of a node's greedy ranking.
 struct ParallelLrgpEngine::Cand {
@@ -197,8 +185,7 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 
         if (!any_population) {
             rate = price > 0.0 ? lo : hi;
-            if constexpr (obs::kEnabled)
-                if (obs_attached_) alloc_instr_.rate_bound->add(1);
+            if (obs_attached_) alloc_instr_.rate_bound->add(1);
         } else {
             // sum_j n_j U_j'(r) - price at a bound, in term order; the
             // inlined derivative expressions mirror utility_function.cpp.
@@ -223,12 +210,10 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 
             if (derivative_at(hi) >= 0.0) {
                 rate = hi;
-                if constexpr (obs::kEnabled)
-                    if (obs_attached_) alloc_instr_.rate_bound->add(1);
+                if (obs_attached_) alloc_instr_.rate_bound->add(1);
             } else if (derivative_at(lo) <= 0.0) {
                 rate = lo;
-                if constexpr (obs::kEnabled)
-                    if (obs_attached_) alloc_instr_.rate_bound->add(1);
+                if (obs_attached_) alloc_instr_.rate_bound->add(1);
             } else {
                 // Combined closed form: W = sum_j n_j w_j in term order.
                 double weight = 0.0;
@@ -247,8 +232,7 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
                     default: r = weight / price - param; break;
                 }
                 rate = std::clamp(r, lo, hi);
-                if constexpr (obs::kEnabled)
-                    if (obs_attached_) alloc_instr_.rate_closed_form->add(1);
+                if (obs_attached_) alloc_instr_.rate_closed_form->add(1);
             }
         }
     } else {
@@ -262,17 +246,15 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
         const utility::RateSolveResult result =
             utility::solve_rate_objective(terms, price, lo, hi, options_.rate_solve);
         rate = result.rate;
-        if constexpr (obs::kEnabled) {
-            if (obs_attached_) {
-                switch (result.method) {
-                    case utility::RateSolveMethod::kClosedForm:
-                        alloc_instr_.rate_closed_form->add(1);
-                        break;
-                    case utility::RateSolveMethod::kNumeric:
-                        alloc_instr_.rate_numeric->add(1);
-                        break;
-                    default: alloc_instr_.rate_bound->add(1); break;
-                }
+        if (obs_attached_) {
+            switch (result.method) {
+                case utility::RateSolveMethod::kClosedForm:
+                    alloc_instr_.rate_closed_form->add(1);
+                    break;
+                case utility::RateSolveMethod::kNumeric:
+                    alloc_instr_.rate_numeric->add(1);
+                    break;
+                default: alloc_instr_.rate_bound->add(1); break;
             }
         }
     }
@@ -293,14 +275,13 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 }
 
 void ParallelLrgpEngine::ratePhase(std::size_t begin, std::size_t end) {
-    [[maybe_unused]] std::uint64_t solves = 0;
+    std::uint64_t solves = 0;
     for (std::size_t f = begin; f < end; ++f) {
         if (!compiled_.flow_active[f]) continue;
         solveFlow(f);
-        if constexpr (obs::kEnabled) ++solves;
+        ++solves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_attached_ && solves > 0) instr_.rate_solves->add(solves);
+    if (obs_attached_ && solves > 0) instr_.rate_solves->add(solves);
 }
 
 void ParallelLrgpEngine::ratePhaseInc(std::size_t begin, std::size_t end) {
@@ -383,7 +364,7 @@ void ParallelLrgpEngine::admitNode(const Cand* cands, std::uint32_t count, doubl
 void ParallelLrgpEngine::nodePhase(std::size_t begin, std::size_t end, NodeScratch& scratch) {
     const CompiledProblem& cp = compiled_;
     // Chunk-local tallies, flushed to the shared atomics once at the end.
-    [[maybe_unused]] std::uint64_t candidates = 0, price_moves = 0;
+    std::uint64_t candidates = 0, price_moves = 0;
 
     AdmitResult result;
     for (std::size_t b = begin; b < end; ++b) {
@@ -392,25 +373,21 @@ void ParallelLrgpEngine::nodePhase(std::size_t begin, std::size_t end, NodeScrat
         const std::uint32_t count = buildNodeCands(b, scratch.cands.data());
         admitNode(scratch.cands.data(), count, capacity, base_usage, result);
         prices_.node[b] = node_prices_[b].update(result.best_unmet_bc, result.used, capacity);
-        if constexpr (obs::kEnabled) {
-            candidates += count;
-            if (node_prices_[b].lastMoved()) ++price_moves;
-        }
+        candidates += count;
+        if (node_prices_[b].lastMoved()) ++price_moves;
     }
 
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_ && end > begin) {
-            alloc_instr_.greedy_allocations->add(end - begin);
-            alloc_instr_.greedy_candidates->add(candidates);
-            instr_.node_price_moves->add(price_moves);
-        }
+    if (obs_attached_ && end > begin) {
+        alloc_instr_.greedy_allocations->add(end - begin);
+        alloc_instr_.greedy_candidates->add(candidates);
+        instr_.node_price_moves->add(price_moves);
     }
 }
 
 void ParallelLrgpEngine::nodePhaseInc(std::size_t begin, std::size_t end, NodeScratch& scratch) {
     const CompiledProblem& cp = compiled_;
     IncrementalState& inc = *inc_;
-    [[maybe_unused]] std::uint64_t candidates = 0, price_moves = 0, rerun = 0;
+    std::uint64_t candidates = 0, price_moves = 0, rerun = 0;
 
     AdmitResult result;
     for (std::size_t b = begin; b < end; ++b) {
@@ -442,35 +419,30 @@ void ParallelLrgpEngine::nodePhaseInc(std::size_t begin, std::size_t end, NodeSc
                 if (allocation_.populations[cls] != scratch.old_pops[e - span_begin])
                     inc.pop_moved[cls] = 1;
             }
-            if constexpr (obs::kEnabled) {
-                candidates += inc.cand_count[b];
-                ++rerun;
-            }
+            candidates += inc.cand_count[b];
+            ++rerun;
         }
         // Eq. 12 always runs: the controller is stateful (adaptive gamma),
         // and a stationary node's cached (BC(b,t), used_b) are bitwise the
         // values a re-admission would recompute.
         prices_.node[b] = node_prices_[b].update(inc.unmet_bc[b], inc.used[b], capacity);
         inc.node_price_moved[b] = node_prices_[b].lastMoved() ? 1 : 0;
-        if constexpr (obs::kEnabled)
-            if (node_prices_[b].lastMoved()) ++price_moves;
+        if (node_prices_[b].lastMoved()) ++price_moves;
     }
 
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_ && end > begin) {
-            if (rerun > 0) {
-                alloc_instr_.greedy_allocations->add(rerun);
-                alloc_instr_.greedy_candidates->add(candidates);
-            }
-            instr_.node_price_moves->add(price_moves);
+    if (obs_attached_ && end > begin) {
+        if (rerun > 0) {
+            alloc_instr_.greedy_allocations->add(rerun);
+            alloc_instr_.greedy_candidates->add(candidates);
         }
+        instr_.node_price_moves->add(price_moves);
     }
 }
 
 void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
     const CompiledProblem& cp = compiled_;
     const std::vector<double>& rates = allocation_.rates;
-    [[maybe_unused]] std::uint64_t price_moves = 0;
+    std::uint64_t price_moves = 0;
     for (std::size_t l = begin; l < end; ++l) {
         double usage = 0.0;
         for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e) {
@@ -480,18 +452,16 @@ void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
         }
         const double old_price = prices_.link[l];
         prices_.link[l] = link_prices_[l].update(usage, cp.link_capacity[l]);
-        if constexpr (obs::kEnabled)
-            if (prices_.link[l] != old_price) ++price_moves;
+        if (prices_.link[l] != old_price) ++price_moves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
+    if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
 }
 
 void ParallelLrgpEngine::linkPhaseInc(std::size_t begin, std::size_t end) {
     const CompiledProblem& cp = compiled_;
     const std::vector<double>& rates = allocation_.rates;
     IncrementalState& inc = *inc_;
-    [[maybe_unused]] std::uint64_t price_moves = 0;
+    std::uint64_t price_moves = 0;
     for (std::size_t l = begin; l < end; ++l) {
         if (inc.link_dirty[l]) {
             double usage = 0.0;
@@ -505,11 +475,9 @@ void ParallelLrgpEngine::linkPhaseInc(std::size_t begin, std::size_t end) {
         // Eq. 13 always runs on the (possibly cached) usage sum.
         prices_.link[l] = link_prices_[l].update(inc.link_usage[l], cp.link_capacity[l]);
         inc.link_price_moved[l] = link_prices_[l].lastMoved() ? 1 : 0;
-        if constexpr (obs::kEnabled)
-            if (link_prices_[l].lastMoved()) ++price_moves;
+        if (link_prices_[l].lastMoved()) ++price_moves;
     }
-    if constexpr (obs::kEnabled)
-        if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
+    if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
 }
 
 void ParallelLrgpEngine::seedDirtyFlows() {
@@ -612,14 +580,11 @@ void ParallelLrgpEngine::markAllDirty() {
 }
 
 const IterationRecord& ParallelLrgpEngine::step() {
-    [[maybe_unused]] bool obs_on = false;
+    const bool obs_on = obs_attached_;
     bool timed = collect_phase_times_;
-    if constexpr (obs::kEnabled) {
-        obs_on = obs_attached_;
-        if (tracer_) tracer_->beginIteration(static_cast<std::uint64_t>(iteration_) + 1);
-        timed = timed || obs_on || (tracer_ && tracer_->sampling());
-    }
-    std::uint64_t t0 = timed ? now_ns() : 0;
+    if (tracer_) tracer_->beginIteration(static_cast<std::uint64_t>(iteration_) + 1);
+    timed = timed || obs_on || (tracer_ && tracer_->sampling());
+    std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
 
     if (inc_) {
         // Serial pre-step: turn last iteration's moved bits into this
@@ -635,7 +600,7 @@ const IterationRecord& ParallelLrgpEngine::step() {
         pool_->parallelFor(compiled_.flowCount(),
                            [this](std::size_t b, std::size_t e, int) { ratePhase(b, e); });
     }
-    std::uint64_t t1 = timed ? now_ns() : 0;
+    std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
 
     if (inc_) {
         pool_->parallelFor(compiled_.nodeCount(), [this](std::size_t b, std::size_t e, int w) {
@@ -649,7 +614,7 @@ const IterationRecord& ParallelLrgpEngine::step() {
             nodePhase(b, e, *node_scratch_[static_cast<std::size_t>(w)]);
         });
     }
-    std::uint64_t t2 = timed ? now_ns() : 0;
+    std::uint64_t t2 = timed ? obs::monotonic_ns() : 0;
 
     if (inc_) {
         pool_->parallelFor(compiled_.linkCount(),
@@ -659,7 +624,7 @@ const IterationRecord& ParallelLrgpEngine::step() {
         pool_->parallelFor(compiled_.linkCount(),
                            [this](std::size_t b, std::size_t e, int) { linkPhase(b, e); });
     }
-    std::uint64_t t3 = timed ? now_ns() : 0;
+    std::uint64_t t3 = timed ? obs::monotonic_ns() : 0;
 
     // Serial epilogue: the Eq. 1 reduction in class-id order (skipped
     // classes hold an exact 0.0, so the sum is bitwise the serial scan).
@@ -685,7 +650,7 @@ const IterationRecord& ParallelLrgpEngine::step() {
 
     std::uint64_t t4 = 0;
     if (timed) {
-        t4 = now_ns();
+        t4 = obs::monotonic_ns();
         if (collect_phase_times_) {
             phase_times_.rate_ns += t1 - t0;
             phase_times_.node_ns += t2 - t1;
@@ -695,81 +660,72 @@ const IterationRecord& ParallelLrgpEngine::step() {
         }
     }
 
-    if constexpr (obs::kEnabled) {
-        [[maybe_unused]] long long admitted_total = 0;
-        if (obs_on || (tracer_ && tracer_->sampling()))
-            for (int n : allocation_.populations) admitted_total += n;
-        if (obs_on) {
-            instr_.iterations->add(1);
-            if (inc_) {
-                // The incremental rate phase skips clean flows, so the
-                // solve count comes from the serial pre-count rather than
-                // the per-chunk tallies of the full phase.
-                instr_.rate_solves->add(inc_->dirty_flows_now);
-                inc_instr_.dirty_flows->add(inc_->dirty_flows_now);
-                inc_instr_.skipped_solves->add(inc_->skipped_solves_now);
-                inc_instr_.dirty_nodes->add(inc_->dirty_nodes_now);
-                inc_instr_.node_cache_hits->add(inc_->node_hits_now);
-                inc_instr_.rank_cache_hits->add(inc_->rank_hits_now);
-                inc_instr_.dirty_links->add(inc_->dirty_links_now);
-                if (inc_->dirty_nodes_now == 0) inc_instr_.utility_cache_hits->add(1);
-            }
-            instr_.admissions->add(static_cast<std::uint64_t>(admitted_total));
-            alloc_instr_.greedy_admitted->add(static_cast<std::uint64_t>(admitted_total));
-            instr_.utility->set(utility);
-            instr_.admitted_consumers->set(static_cast<double>(admitted_total));
-            instr_.phase_rate->observe(static_cast<double>(t1 - t0) * 1e-9);
-            instr_.phase_node->observe(static_cast<double>(t2 - t1) * 1e-9);
-            instr_.phase_link->observe(static_cast<double>(t3 - t2) * 1e-9);
-            instr_.phase_reduce->observe(static_cast<double>(t4 - t3) * 1e-9);
-            instr_.iter_seconds->observe(static_cast<double>(t4 - t0) * 1e-9);
+    long long admitted_total = 0;
+    if (obs_on || (tracer_ && tracer_->sampling()))
+        for (int n : allocation_.populations) admitted_total += n;
+    if (obs_on) {
+        instr_.iterations->add(1);
+        if (inc_) {
+            // The incremental rate phase skips clean flows, so the
+            // solve count comes from the serial pre-count rather than
+            // the per-chunk tallies of the full phase.
+            instr_.rate_solves->add(inc_->dirty_flows_now);
+            inc_instr_.dirty_flows->add(inc_->dirty_flows_now);
+            inc_instr_.skipped_solves->add(inc_->skipped_solves_now);
+            inc_instr_.dirty_nodes->add(inc_->dirty_nodes_now);
+            inc_instr_.node_cache_hits->add(inc_->node_hits_now);
+            inc_instr_.rank_cache_hits->add(inc_->rank_hits_now);
+            inc_instr_.dirty_links->add(inc_->dirty_links_now);
+            if (inc_->dirty_nodes_now == 0) inc_instr_.utility_cache_hits->add(1);
         }
-        if (tracer_ && tracer_->sampling()) {
-            const double origin = tracer_->nowMicros();
-            const auto us = [](std::uint64_t a, std::uint64_t b) {
-                return static_cast<double>(b - a) * 1e-3;
-            };
-            const double ts0 = timed ? origin - us(t0, t4) : origin;
-            tracer_->complete("rate_phase", "lrgp", 0, ts0, us(t0, t1));
-            tracer_->complete("node_phase", "lrgp", 0, ts0 + us(t0, t1), us(t1, t2));
-            tracer_->complete("link_phase", "lrgp", 0, ts0 + us(t0, t2), us(t2, t3));
-            tracer_->complete("iteration", "lrgp", 0, ts0, us(t0, t4),
-                              {{"iteration", static_cast<double>(iteration_)},
-                               {"utility", utility},
-                               {"admitted", static_cast<double>(admitted_total)}});
-            tracer_->counterSample("utility", 0, origin, utility);
-        }
+        instr_.admissions->add(static_cast<std::uint64_t>(admitted_total));
+        alloc_instr_.greedy_admitted->add(static_cast<std::uint64_t>(admitted_total));
+        instr_.utility->set(utility);
+        instr_.admitted_consumers->set(static_cast<double>(admitted_total));
+        instr_.phase_rate->observe(static_cast<double>(t1 - t0) * 1e-9);
+        instr_.phase_node->observe(static_cast<double>(t2 - t1) * 1e-9);
+        instr_.phase_link->observe(static_cast<double>(t3 - t2) * 1e-9);
+        instr_.phase_reduce->observe(static_cast<double>(t4 - t3) * 1e-9);
+        instr_.iter_seconds->observe(static_cast<double>(t4 - t0) * 1e-9);
+    }
+    if (tracer_ && tracer_->sampling()) {
+        const double origin = tracer_->nowMicros();
+        const auto us = [](std::uint64_t a, std::uint64_t b) {
+            return static_cast<double>(b - a) * 1e-3;
+        };
+        const double ts0 = timed ? origin - us(t0, t4) : origin;
+        tracer_->complete("rate_phase", "lrgp", 0, ts0, us(t0, t1));
+        tracer_->complete("node_phase", "lrgp", 0, ts0 + us(t0, t1), us(t1, t2));
+        tracer_->complete("link_phase", "lrgp", 0, ts0 + us(t0, t2), us(t2, t3));
+        tracer_->complete("iteration", "lrgp", 0, ts0, us(t0, t4),
+                          {{"iteration", static_cast<double>(iteration_)},
+                           {"utility", utility},
+                           {"admitted", static_cast<double>(admitted_total)}});
+        tracer_->counterSample("utility", 0, origin, utility);
     }
     return last_record_;
 }
 
 void ParallelLrgpEngine::attachObservability(obs::Registry* registry,
                                              obs::IterationTracer* tracer) {
-    if constexpr (obs::kEnabled) {
-        if (registry != nullptr) {
-            instr_ = obs::SolverInstruments::resolve(*registry);
-            alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
-            pool_instr_ = obs::PoolInstruments::resolve(*registry);
-            if (inc_) inc_instr_ = obs::IncrementalInstruments::resolve(*registry);
-            pool_->setInstruments(&pool_instr_);
-            obs_attached_ = true;
-        } else {
-            pool_->setInstruments(nullptr);
-            obs_attached_ = false;
-        }
-        tracer_ = tracer;
+    if (registry != nullptr) {
+        instr_ = obs::SolverInstruments::resolve(*registry);
+        alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
+        pool_instr_ = obs::PoolInstruments::resolve(*registry);
+        if (inc_) inc_instr_ = obs::IncrementalInstruments::resolve(*registry);
+        pool_->setInstruments(&pool_instr_);
+        obs_attached_ = true;
     } else {
-        (void)registry;
-        (void)tracer;
+        pool_->setInstruments(nullptr);
+        obs_attached_ = false;
     }
+    tracer_ = tracer;
 }
 
 void ParallelLrgpEngine::noteConvergenceReset() {
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) instr_.convergence_resets->add(1);
-        if (tracer_ && tracer_->sampling())
-            tracer_->instant("convergence_reset", "lrgp", 0, tracer_->nowMicros());
-    }
+    if (obs_attached_) instr_.convergence_resets->add(1);
+    if (tracer_ && tracer_->sampling())
+        tracer_->instant("convergence_reset", "lrgp", 0, tracer_->nowMicros());
 }
 
 const IterationRecord& ParallelLrgpEngine::run(int iterations) {

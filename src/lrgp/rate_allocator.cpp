@@ -45,19 +45,17 @@ utility::RateSolveResult RateAllocator::computeRate(model::FlowId flow,
     const double price = totalPrice(flow, populations, prices);
     const utility::RateSolveResult result =
         utility::solve_rate_objective(terms, price, f.rate_min, f.rate_max, solve_options_);
-    if constexpr (obs::kEnabled) {
-        if (instruments_) {
-            switch (result.method) {
-                case utility::RateSolveMethod::kClosedForm:
-                    instruments_->rate_closed_form->add(1);
-                    break;
-                case utility::RateSolveMethod::kNumeric:
-                    instruments_->rate_numeric->add(1);
-                    break;
-                default:
-                    instruments_->rate_bound->add(1);
-                    break;
-            }
+    if (instruments_) {
+        switch (result.method) {
+            case utility::RateSolveMethod::kClosedForm:
+                instruments_->rate_closed_form->add(1);
+                break;
+            case utility::RateSolveMethod::kNumeric:
+                instruments_->rate_numeric->add(1);
+                break;
+            default:
+                instruments_->rate_bound->add(1);
+                break;
         }
     }
     return result;

@@ -26,12 +26,10 @@ void TaskPool::parallelFor(std::size_t n,
                            const std::function<void(std::size_t, std::size_t, int)>& fn) {
     if (n == 0) return;
     if (thread_count_ == 1 || n == 1) {
-        if constexpr (obs::kEnabled) {
-            if (instruments_) {
-                instruments_->jobs->add(1);
-                instruments_->chunks->add(1);
-                instruments_->fanout->observe(1.0);
-            }
+        if (instruments_) {
+            instruments_->jobs->add(1);
+            instruments_->chunks->add(1);
+            instruments_->fanout->observe(1.0);
         }
         fn(0, n, 0);
         return;
@@ -39,13 +37,11 @@ void TaskPool::parallelFor(std::size_t n,
 
     const std::size_t chunk =
         (n + static_cast<std::size_t>(thread_count_) - 1) / static_cast<std::size_t>(thread_count_);
-    if constexpr (obs::kEnabled) {
-        if (instruments_) {
-            const std::size_t chunks = (n + chunk - 1) / chunk;
-            instruments_->jobs->add(1);
-            instruments_->chunks->add(chunks);
-            instruments_->fanout->observe(static_cast<double>(chunks));
-        }
+    if (instruments_) {
+        const std::size_t chunks = (n + chunk - 1) / chunk;
+        instruments_->jobs->add(1);
+        instruments_->chunks->add(chunks);
+        instruments_->fanout->observe(static_cast<double>(chunks));
     }
     {
         std::lock_guard<std::mutex> lock(mutex_);

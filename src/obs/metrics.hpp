@@ -4,8 +4,7 @@
 //
 // Design constraints (docs/observability.md):
 //  * near-zero cost when unused — every instrumented call site guards on
-//    `if constexpr (obs::kEnabled)` (compile-time, the LRGP_OBS macro)
-//    and then on a null instrument pointer (runtime, one predictable
+//    an attached flag or a null instrument pointer (one predictable
 //    branch when nothing is attached);
 //  * safe to update from the TaskPool workers — all mutation is relaxed
 //    atomics, registration alone takes a lock;
@@ -24,14 +23,6 @@
 #include <vector>
 
 namespace lrgp::obs {
-
-/// Compile-time master switch.  Builds without LRGP_OBS compile every
-/// instrumentation block out of the hot paths entirely.
-#ifdef LRGP_OBS
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 /// Prometheus-style labels attached to a metric at registration time.
 using Labels = std::vector<std::pair<std::string, std::string>>;

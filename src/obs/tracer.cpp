@@ -4,7 +4,7 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/scoped_timer.hpp"
+#include "obs/clock.hpp"
 
 namespace lrgp::obs {
 

@@ -578,10 +578,8 @@ void AsyncShardRuntime::restartAgent(Agent& agent, double now) {
 void AsyncShardRuntime::receiveDigests(Agent& agent, double now) {
     agent.inbox.clear();
     const std::size_t depth = transport_->poll(agent.id, now, agent.inbox);
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_ && instr_.queue_depth != nullptr)
-            instr_.queue_depth->observe(static_cast<double>(depth));
-    }
+    if (obs_attached_ && instr_.queue_depth != nullptr)
+        instr_.queue_depth->observe(static_cast<double>(depth));
     for (const Delivery& delivery : agent.inbox) applyDigest(agent, delivery, now);
 }
 
@@ -606,10 +604,8 @@ void AsyncShardRuntime::applyDigest(Agent& agent, const Delivery& delivery, doub
     peer.version = d.version;
     peer.last_heard = now;
     if (peer.suspected) unsuspectPeer(agent, d.from, now);
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_ && instr_.digest_age != nullptr)
-            instr_.digest_age->observe(now - d.send_time);
-    }
+    if (obs_attached_ && instr_.digest_age != nullptr)
+        instr_.digest_age->observe(now - d.send_time);
 
     // Boundary prices feed the coordinator's rebalance decisions.
     for (const PriceEntry& entry : d.prices) {
@@ -1006,23 +1002,17 @@ const core::ParallelLrgpEngine* AsyncShardRuntime::agentEngine(int agent) const 
 }
 
 void AsyncShardRuntime::attachObservability(obs::Registry* registry) {
-    if constexpr (!obs::kEnabled) {
-        (void)registry;
+    if (registry == nullptr) {
+        obs_attached_ = false;
+        instr_ = {};
         return;
-    } else {
-        if (registry == nullptr) {
-            obs_attached_ = false;
-            instr_ = {};
-            return;
-        }
-        instr_ = obs::RuntimeInstruments::resolve(*registry);
-        obs_attached_ = true;
-        instr_.agents->set(static_cast<double>(agents_.size()));
     }
+    instr_ = obs::RuntimeInstruments::resolve(*registry);
+    obs_attached_ = true;
+    instr_.agents->set(static_cast<double>(agents_.size()));
 }
 
 void AsyncShardRuntime::exportCounters() {
-    if constexpr (!obs::kEnabled) return;
     if (!obs_attached_) return;
     const AgentCounters totals = sumCounters(summaries());
     const auto push = [](obs::Counter* counter, std::uint64_t total, std::uint64_t& exported) {

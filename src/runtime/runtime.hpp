@@ -256,7 +256,7 @@ public:
     /// Registers the lrgp_runtime_* series (docs/observability.md).
     /// Counter totals are exported at the end of every runFor call;
     /// histograms (digest age, inbox depth) fill live from the agent
-    /// threads.  Pass nullptr to detach; a no-op without LRGP_OBS.
+    /// threads.  Pass nullptr to detach.
     void attachObservability(obs::Registry* registry);
 
 private:

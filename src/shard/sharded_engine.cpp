@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "lrgp/optimizer.hpp"
-#include "obs/scoped_timer.hpp"
+#include "obs/clock.hpp"
 #include "shard/budget.hpp"
 
 namespace lrgp::shard {
@@ -130,11 +130,9 @@ void ShardedLrgpEngine::publishRecord() {
     last_record_.prices = prices_;
     trace_.append(utility);
     detector_.addSample(utility);
-    if constexpr (obs::kEnabled) {
-        exportIterationCounters();
-        if (tracer_ != nullptr && tracer_->sampling())
-            tracer_->counterSample("sharded_utility", 0, tracer_->nowMicros(), utility);
-    }
+    exportIterationCounters();
+    if (tracer_ != nullptr && tracer_->sampling())
+        tracer_->counterSample("sharded_utility", 0, tracer_->nowMicros(), utility);
 }
 
 void ShardedLrgpEngine::exportIterationCounters() {
@@ -215,9 +213,7 @@ std::optional<int> ShardedLrgpEngine::runUntilConverged(int max_iterations) {
 void ShardedLrgpEngine::reconcile(bool& moved) {
     moved = false;
     std::uint64_t t0 = 0;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) t0 = obs::monotonic_ns();
-    }
+    if (obs_attached_) t0 = obs::monotonic_ns();
     std::uint64_t exchanges = 0, updates = 0, wakeups = 0;
     double pass_moved = 0.0;
 
@@ -265,16 +261,13 @@ void ShardedLrgpEngine::reconcile(bool& moved) {
     stats_.budget_updates += updates;
     stats_.shard_wakeups += wakeups;
     stats_.budget_moved += pass_moved;
-    if constexpr (obs::kEnabled) {
-        if (obs_attached_) {
-            instr_.reconciles->add(1);
-            instr_.price_exchanges->add(exchanges);
-            instr_.budget_updates->add(updates);
-            instr_.wakeups->add(wakeups);
-            instr_.budget_moved->set(stats_.budget_moved);
-            instr_.reconcile_seconds->observe(static_cast<double>(obs::monotonic_ns() - t0) *
-                                              1e-9);
-        }
+    if (obs_attached_) {
+        instr_.reconciles->add(1);
+        instr_.price_exchanges->add(exchanges);
+        instr_.budget_updates->add(updates);
+        instr_.wakeups->add(wakeups);
+        instr_.budget_moved->set(stats_.budget_moved);
+        instr_.reconcile_seconds->observe(static_cast<double>(obs::monotonic_ns() - t0) * 1e-9);
     }
 }
 
@@ -422,23 +415,18 @@ void ShardedLrgpEngine::warmStart(const core::PriceVector& prices,
 
 void ShardedLrgpEngine::attachObservability(obs::Registry* registry,
                                             obs::IterationTracer* tracer) {
-    if constexpr (obs::kEnabled) {
-        if (registry != nullptr) {
-            instr_ = obs::ShardInstruments::resolve(*registry, shardCount());
-            obs_attached_ = true;
-            instr_.shard_count->set(static_cast<double>(shardCount()));
-            instr_.boundary_nodes->set(static_cast<double>(partition_.boundary_nodes));
-            instr_.boundary_links->set(static_cast<double>(partition_.boundary_links));
-            instr_.budget_moved->set(stats_.budget_moved);
-        } else {
-            instr_ = obs::ShardInstruments{};
-            obs_attached_ = false;
-        }
-        tracer_ = tracer;
+    if (registry != nullptr) {
+        instr_ = obs::ShardInstruments::resolve(*registry, shardCount());
+        obs_attached_ = true;
+        instr_.shard_count->set(static_cast<double>(shardCount()));
+        instr_.boundary_nodes->set(static_cast<double>(partition_.boundary_nodes));
+        instr_.boundary_links->set(static_cast<double>(partition_.boundary_links));
+        instr_.budget_moved->set(stats_.budget_moved);
     } else {
-        (void)registry;
-        (void)tracer;
+        instr_ = obs::ShardInstruments{};
+        obs_attached_ = false;
     }
+    tracer_ = tracer;
 }
 
 // -- observers --------------------------------------------------------------

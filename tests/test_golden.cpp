@@ -119,7 +119,6 @@ TEST(Golden, PrometheusText) {
 }
 
 TEST(Golden, IncrementalPrometheusText) {
-    if constexpr (!obs::kEnabled) GTEST_SKIP() << "built without LRGP_OBS";
     // Drive the incremental engine on the tiny problem with observability
     // attached; the lrgp_inc_* counter values are fully deterministic
     // (the dirty sets follow the bitwise-deterministic trajectory).  The
@@ -145,7 +144,6 @@ TEST(Golden, IncrementalPrometheusText) {
 }
 
 TEST(Golden, ShardPrometheusText) {
-    if constexpr (!obs::kEnabled) GTEST_SKIP() << "built without LRGP_OBS";
     // Four flows through one congested hub node: the component exceeds
     // the 2-shard balance cap, so the partitioner must split it and the
     // hub becomes a boundary resource with a bitwise-deterministic
@@ -188,7 +186,6 @@ TEST(Golden, ShardPrometheusText) {
 }
 
 TEST(Golden, RuntimePrometheusText) {
-    if constexpr (!obs::kEnabled) GTEST_SKIP() << "built without LRGP_OBS";
     // Two async agents over the base workload in deterministic virtual
     // lockstep: every lrgp_runtime_* counter and gauge lands on the same
     // value on every run and every machine.  The live registry also
