@@ -1,6 +1,6 @@
 // Message batches: the unit of work flowing through the fastpath's
-// gate graph.  A batch is a cohort of up to `batch_size` messages of
-// one flow emitted in the same quantum — the BESS packet-batch analog.
+// gate graph.  A batch is a cohort of up to kBatchSize messages of one
+// flow emitted in the same quantum — the BESS packet-batch analog.
 // Gates charge and serve whole cohorts (counts), never individual
 // messages, which is where the fastpath's throughput comes from.
 #pragma once
@@ -9,30 +9,11 @@
 
 namespace lrgp::fastpath {
 
-inline constexpr std::uint32_t kDefaultBatchSize = 32;
+inline constexpr std::uint32_t kBatchSize = 32;
 
-/// A cohort of `count` messages of `flow` moving through a gate.
-struct MsgBatch {
-    std::uint32_t flow = 0;
-    std::uint32_t count = 0;
-};
-
-/// Number of batches needed for `messages` at `batch_size` per batch.
-[[nodiscard]] constexpr std::uint64_t batch_count(std::uint64_t messages,
-                                                  std::uint32_t batch_size) noexcept {
-    return (messages + batch_size - 1) / batch_size;
-}
-
-/// Invokes fn(MsgBatch) for each batch of `messages`: full batches
-/// first, then the (possibly partial) tail.  Deterministic order.
-template <class Fn>
-void for_each_batch(std::uint32_t flow, std::uint64_t messages, std::uint32_t batch_size,
-                    Fn&& fn) {
-    while (messages >= batch_size) {
-        fn(MsgBatch{flow, batch_size});
-        messages -= batch_size;
-    }
-    if (messages > 0) fn(MsgBatch{flow, static_cast<std::uint32_t>(messages)});
+/// Number of batches needed for `messages` at kBatchSize per batch.
+[[nodiscard]] constexpr std::uint64_t batch_count(std::uint64_t messages) noexcept {
+    return (messages + kBatchSize - 1) / kBatchSize;
 }
 
 }  // namespace lrgp::fastpath

@@ -1,59 +1,16 @@
 #include "fastpath/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace lrgp::fastpath {
 
-TrafficScheduler::TrafficScheduler(std::size_t flows, double credit_depth, double quantum_budget)
-    : credit_depth_(credit_depth), quantum_budget_(quantum_budget) {
-    if (!(credit_depth_ >= 1.0))
-        throw std::invalid_argument("TrafficScheduler: credit_depth must be >= 1");
-    if (!(quantum_budget_ >= 0.0))
-        throw std::invalid_argument("TrafficScheduler: quantum_budget must be >= 0");
-    rates_.assign(flows, 0.0);
-    credits_.assign(flows, 0.0);
-    quotas_.assign(flows, 0);
-}
+TrafficScheduler::TrafficScheduler(std::size_t flows)
+    : rates_(flows, 0.0), credits_(flows, 0.0) {}
 
 void TrafficScheduler::setRate(std::size_t i, double rate) {
     if (!(rate >= 0.0)) throw std::invalid_argument("TrafficScheduler: rate must be >= 0");
     rates_.at(i) = rate;
-}
-
-void TrafficScheduler::beginQuantum() {
-    if (!budgeted()) return;
-    const double total_rate = std::accumulate(rates_.begin(), rates_.end(), 0.0);
-    if (!(total_rate > 0.0)) {
-        std::fill(quotas_.begin(), quotas_.end(), std::uint64_t{0});
-        return;
-    }
-    // Weighted largest-remainder split of the budget, flow order: the
-    // floors first, then one extra message per flow in descending
-    // fractional order (ties to the lower flow id).
-    const std::size_t n = rates_.size();
-    std::uint64_t assigned = 0;
-    std::vector<double> fractions(n);
-    const auto budget = static_cast<std::uint64_t>(quantum_budget_);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double share = quantum_budget_ * rates_[i] / total_rate;
-        quotas_[i] = static_cast<std::uint64_t>(share);
-        fractions[i] = share - static_cast<double>(quotas_[i]);
-        assigned += quotas_[i];
-    }
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&fractions](std::size_t a, std::size_t b) {
-        return fractions[a] > fractions[b];
-    });
-    for (std::size_t k = 0; k < n && assigned < budget; ++k) {
-        if (rates_[order[k]] > 0.0) {
-            ++quotas_[order[k]];
-            ++assigned;
-        }
-    }
 }
 
 void TrafficScheduler::refill(std::size_t i, double dt) {
@@ -63,17 +20,13 @@ void TrafficScheduler::refill(std::size_t i, double dt) {
     // batching admission at quantum granularity must not lower that
     // (otherwise every flow with rate > depth/quantum would be shaped
     // to depth/quantum, which the event dataplane never does).
-    credits_[i] = std::min(credit_depth_, credits_[i]) + rates_[i] * dt;
+    credits_[i] = std::min(kCreditDepth, credits_[i]) + rates_[i] * dt;
 }
 
 bool TrafficScheduler::tryAdmit(std::size_t i) {
     // Same slack as TokenBucket::tryConsume: deterministic arrivals at
     // exactly the refill rate must never be shaped by rounding noise.
     if (credits_[i] < 1.0 - 1e-9) return false;
-    if (budgeted()) {
-        if (quotas_[i] == 0) return false;
-        --quotas_[i];
-    }
     credits_[i] -= 1.0;
     return true;
 }

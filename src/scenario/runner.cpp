@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 
@@ -15,6 +16,14 @@
 namespace lrgp::scenario {
 
 namespace {
+
+/// Iteration cap of every convergence solve: the replay's final solve
+/// and the best-known reference solve.
+constexpr int kMaxConvergeIterations = 4000;
+/// Closed-loop dataplane: its traffic seed, and the extra traffic time
+/// after the replay's final enactment.
+constexpr std::uint64_t kDataplaneSeed = 1;
+constexpr double kDataplaneSettle = 8.0;
 
 void applyToEngine(core::Engine& engine, const DynamicOp& op) {
     switch (op.kind) {
@@ -109,8 +118,7 @@ ScenarioRunReport runAsync(const ScenarioSpec& scenario, const RunnerOptions& op
     report.utility_trace = runtime.utilityTrace();
     report.final_utility = runtime.currentUtility();
     report.converged = true;  // no global detector; utility_vs_best is the check
-    report.best_known_utility = best_known_utility(scenario, options.lrgp,
-                                                   options.max_converge_iterations);
+    report.best_known_utility = best_known_utility(scenario, options.lrgp);
     report.utility_vs_best =
         report.best_known_utility > 0.0 ? report.final_utility / report.best_known_utility : 0.0;
     analyzeRecovery(scenario, report);
@@ -138,10 +146,9 @@ void export_observability(const ScenarioSpec& scenario, const ScenarioRunReport&
     }
 }
 
-double best_known_utility(const ScenarioSpec& scenario, const core::LrgpOptions& options,
-                          int max_iterations) {
+double best_known_utility(const ScenarioSpec& scenario, const core::LrgpOptions& options) {
     core::LrgpOptimizer engine(end_state_problem(scenario), options);
-    engine.runUntilConverged(max_iterations);
+    engine.runUntilConverged(kMaxConvergeIterations);
     return engine.currentUtility();
 }
 
@@ -160,7 +167,7 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
     std::optional<core::EnactmentController> enactor;
     if (options.with_dataplane) {
         dataplane::DataplaneOptions dopts;
-        dopts.seed = options.dataplane_seed;
+        dopts.seed = kDataplaneSeed;
         dp.emplace(scenario.problem, dopts);
         // Overdrive: the plant has less capacity than the plan believes.
         if (scenario.physical_capacity_scale != 1.0)
@@ -201,12 +208,11 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
     // the K=4 gap to < 1%.  K=1 is skipped: it has no budgets to move,
     // and must stay bitwise-identical to the monolithic engines.
     if (options.engine == "sharded" && options.shards > 1) engine->warmStart(engine->prices());
-    report.converged = engine->runUntilConverged(options.max_converge_iterations).has_value();
+    report.converged = engine->runUntilConverged(kMaxConvergeIterations).has_value();
     report.final_utility = engine->currentUtility();
     report.final_allocation = engine->allocation();
     report.iterations = engine->iterationsRun();
-    report.best_known_utility =
-        best_known_utility(scenario, options.lrgp, options.max_converge_iterations);
+    report.best_known_utility = best_known_utility(scenario, options.lrgp);
     report.utility_vs_best =
         report.best_known_utility > 0.0 ? report.final_utility / report.best_known_utility : 0.0;
     analyzeRecovery(scenario, report);
@@ -214,7 +220,7 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
     if (dp) {
         dp->notePlanned(report.final_allocation);
         dp->enact(report.final_allocation);
-        dp->runUntil(total + options.dataplane_settle);
+        dp->runUntil(total + kDataplaneSettle);
         const dataplane::DataplaneStats stats = dp->collectStats();
         report.has_dataplane = true;
         report.drop_rate = stats.drop_rate;

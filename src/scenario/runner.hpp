@@ -22,7 +22,6 @@
 // of the end-state problem (all ops applied statically).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "lrgp/engine.hpp"
@@ -42,11 +41,8 @@ struct RunnerOptions {
     int threads = 1;   ///< compiled/incremental worker threads
     double tick = 0.05;           ///< scenario seconds per LRGP iteration
     double settle = 6.0;          ///< replay tail after the last scheduled op
-    int max_converge_iterations = 4000;
 
     bool with_dataplane = false;
-    std::uint64_t dataplane_seed = 1;
-    double dataplane_settle = 8.0;  ///< extra traffic time after the replay
 
     core::LrgpOptions lrgp;
 };
@@ -83,11 +79,11 @@ struct ScenarioRunReport {
 [[nodiscard]] ScenarioRunReport run_scenario(const ScenarioSpec& scenario,
                                              const RunnerOptions& options = {});
 
-/// Fresh serial solve of the end-state problem: the yardstick every
-/// replayed run's final utility is measured against.
+/// Fresh serial solve of the end-state problem (at most 4000
+/// iterations): the yardstick every replayed run's final utility is
+/// measured against.
 [[nodiscard]] double best_known_utility(const ScenarioSpec& scenario,
-                                        const core::LrgpOptions& options = {},
-                                        int max_iterations = 4000);
+                                        const core::LrgpOptions& options = {});
 
 /// Fills the lrgp_scenario_* instrument bundle from a finished run.
 /// Every exported value derives from the deterministic replay, so the
