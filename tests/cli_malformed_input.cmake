@@ -1,6 +1,7 @@
 # Runs `lrgp_cli --load` on malformed problem files.  Each one must end in
 # a typed error: exit status 2 and an "error:" line on stderr, never an
-# abort (134) or a crash (139).
+# abort (134) or a crash (139).  `--scenario` with a flag that its replay
+# would ignore must fail the same way, naming the flag.
 #
 #   cmake -DCLI=<path to lrgp_cli> -DWORK_DIR=<scratch dir> -P cli_malformed_input.cmake
 if(NOT CLI OR NOT WORK_DIR)
@@ -36,6 +37,24 @@ foreach(name truncated negative_capacity deep_nesting fractional_count huge_coun
     message(STATUS "${name}.json: exit 2, ${stderr}")
   endif()
 endforeach()
+
+# Each case is a flag the scenario replay ignores, with its value.
+file(REMOVE "${WORK_DIR}/ignored.csv")
+foreach(case "--dataplane;fast" "--csv;${WORK_DIR}/ignored.csv" "--iterations;5")
+  list(GET case 0 flag)
+  execute_process(
+    COMMAND "${CLI}" --scenario fat_tree_heavy_tail_shifted_log ${case}
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr)
+  if(NOT status EQUAL 2 OR NOT stderr MATCHES "(^|\n)error: [^\n]*${flag}"
+     OR EXISTS "${WORK_DIR}/ignored.csv")
+    string(APPEND failures "  --scenario ... ${case}: exit '${status}', stderr '${stderr}'\n")
+  else()
+    message(STATUS "--scenario ... ${case}: exit 2, ${stderr}")
+  endif()
+endforeach()
+
 if(failures)
   message(FATAL_ERROR "lrgp_cli did not fail cleanly on:\n${failures}")
 endif()
