@@ -128,6 +128,7 @@ ExperimentResult run_experiment(const io::JsonValue& config) {
     std::vector<Event> events = parseEvents(config);
 
     if (kind == "lrgp") {
+        if (iterations < 1) throw std::runtime_error("experiment: iterations must be >= 1");
         core::LrgpOptimizer optimizer(spec, lrgpOptions(optimizer_config));
         std::size_t next_event = 0;
         for (int t = 1; t <= iterations; ++t) {
@@ -178,9 +179,10 @@ ExperimentResult run_experiment(const io::JsonValue& config) {
             for (const io::JsonValue& t : optimizer_config.at("temperatures").asArray())
                 temperatures.push_back(t.asNumber());
         }
-        const auto steps =
-            static_cast<std::uint64_t>(intAt(optimizer_config, "steps", 100'000));
-        const auto sa = baseline::best_of_annealing(spec, temperatures, steps, 1);
+        const int steps = intAt(optimizer_config, "steps", 100'000);
+        if (steps < 1) throw std::runtime_error("experiment: steps must be >= 1");
+        const auto sa = baseline::best_of_annealing(spec, temperatures,
+                                                    static_cast<std::uint64_t>(steps), 1);
         result.final_utility = sa.best_utility;
         result.utility_trace.append(sa.best_utility);
         result.summary = model::summarize(spec, sa.best);

@@ -147,6 +147,22 @@ TEST(Experiment, SchemaErrors) {
         "optimizer": {"kind": "sa"},
         "events": [{"at": 5, "action": "remove_flow", "flow": "f0_0"}]})"),
                  std::runtime_error);
+    // Non-positive counts: -5 steps would otherwise wrap to ~1.8e19, and
+    // -3 iterations would report the untouched start as a result.
+    for (const char* count : {"0", "-5"}) {
+        const std::string c(count);
+        EXPECT_THROW((void)run_experiment_string(R"({"workload": {"kind": "base"},
+            "optimizer": {"kind": "sa", "steps": )" + c + "}}"),
+                     std::runtime_error)
+            << count;
+    }
+    for (const char* count : {"0", "-3"}) {
+        const std::string c(count);
+        EXPECT_THROW((void)run_experiment_string(R"({"workload": {"kind": "base"},
+            "optimizer": {"kind": "lrgp", "iterations": )" + c + "}}"),
+                     std::runtime_error)
+            << count;
+    }
 }
 
 TEST(Experiment, RejectsNonIntegralIntegerFields) {
