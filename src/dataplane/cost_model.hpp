@@ -14,15 +14,24 @@
 // is the one function that evaluates F + sum G * n.  Keeping this in
 // one place is what makes the fastpath/sim differential oracle
 // meaningful: any divergence between the two engines is a
-// queueing/batching artifact, never a cost-model fork.
+// queueing/batching artifact, never a cost-model fork.  For the same
+// reason both plants take their queue bound and hop delay from here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "model/problem.hpp"
 
 namespace lrgp::dataplane {
+
+/// Queued messages per link/node server (event plant) or per entity
+/// (fastpath); arrivals beyond it drop.
+inline constexpr std::size_t kQueueCapacity = 64;
+/// Hop-to-hop handoff delay in seconds.  The event plant schedules it
+/// per hop; the fastpath adds it to its latency estimate only.
+inline constexpr double kPropagationDelay = 1e-4;
 
 /// L_{l,i}: cost of one flow-i message crossing link l.
 [[nodiscard]] inline double link_message_cost(const model::ProblemSpec& spec, model::LinkId link,

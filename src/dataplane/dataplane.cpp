@@ -15,10 +15,6 @@ Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
       latency_(metrics::default_latency_bounds()) {
     if (!(options_.token_bucket_depth >= 1.0))
         throw std::invalid_argument("Dataplane: token_bucket_depth must be >= 1");
-    if (options_.queue_capacity < 1)
-        throw std::invalid_argument("Dataplane: queue_capacity must be >= 1");
-    if (!(options_.propagation_delay >= 0.0))
-        throw std::invalid_argument("Dataplane: propagation_delay must be >= 0");
     if (!(options_.sample_period > 0.0))
         throw std::invalid_argument("Dataplane: sample_period must be > 0");
 
@@ -50,7 +46,7 @@ Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
     for (std::size_t l = 0; l < spec_.linkCount(); ++l) {
         const model::LinkId link{static_cast<std::uint32_t>(l)};
         link_servers_.emplace_back(
-            simulator_, spec_.link(link).capacity, options_.queue_capacity,
+            simulator_, spec_.link(link).capacity, kQueueCapacity,
             [this, link](const DataMessage& message) {
                 return link_message_cost(spec_, link, model::FlowId{message.flow});
             },
@@ -60,7 +56,7 @@ Dataplane::Dataplane(const model::ProblemSpec& spec, DataplaneOptions options)
     for (std::size_t b = 0; b < spec_.nodeCount(); ++b) {
         const model::NodeId node{static_cast<std::uint32_t>(b)};
         node_servers_.emplace_back(
-            simulator_, spec_.node(node).capacity, options_.queue_capacity,
+            simulator_, spec_.node(node).capacity, kQueueCapacity,
             [this](const DataMessage& message) { return nodeMessageCost(message); },
             [this](const DataMessage& message) { deliverAtNode(message); });
     }
@@ -108,12 +104,12 @@ void Dataplane::emitFromSource(const DataMessage& message) {
     if (obs_attached_) obs_.emitted->add();
     const auto& chain = link_chain_[message.flow];
     if (chain.empty()) {
-        simulator_.schedule(options_.propagation_delay,
+        simulator_.schedule(kPropagationDelay,
                             [this, message] { fanOutToNodes(message); });
         return;
     }
     const model::LinkId first = chain.front();
-    simulator_.schedule(options_.propagation_delay, [this, first, message] {
+    simulator_.schedule(kPropagationDelay, [this, first, message] {
         if (!link_servers_[first.index()].arrive(message)) {
             ++dropped_link_;
             if (obs_attached_) obs_.dropped_link->add();
@@ -128,7 +124,7 @@ void Dataplane::forwardAfterLink(const DataMessage& message) {
         DataMessage forwarded = message;
         forwarded.link_stage = next_stage;
         const model::LinkId next = chain[next_stage];
-        simulator_.schedule(options_.propagation_delay, [this, next, forwarded] {
+        simulator_.schedule(kPropagationDelay, [this, next, forwarded] {
             if (!link_servers_[next.index()].arrive(forwarded)) {
                 ++dropped_link_;
                 if (obs_attached_) obs_.dropped_link->add();
@@ -136,7 +132,7 @@ void Dataplane::forwardAfterLink(const DataMessage& message) {
         });
         return;
     }
-    simulator_.schedule(options_.propagation_delay, [this, message] { fanOutToNodes(message); });
+    simulator_.schedule(kPropagationDelay, [this, message] { fanOutToNodes(message); });
 }
 
 void Dataplane::fanOutToNodes(const DataMessage& message) {

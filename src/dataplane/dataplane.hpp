@@ -44,8 +44,6 @@ struct DataplaneOptions {
     std::uint64_t seed = 1;  ///< base seed; flow i uses seed + i
     ArrivalProcess arrivals = ArrivalProcess::kDeterministic;
     double token_bucket_depth = 8.0;  ///< burst allowance per source (messages)
-    std::size_t queue_capacity = 64;  ///< bounded FIFO depth per server
-    double propagation_delay = 1e-4;  ///< per hop-to-hop handoff (seconds)
     double sample_period = 0.5;       ///< achieved-utility sampling (seconds)
 };
 

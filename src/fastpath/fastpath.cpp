@@ -28,10 +28,6 @@ Fastpath::Fastpath(const model::ProblemSpec& spec, FastpathOptions options)
       scheduler_(spec.flowCount()),
       pool_(options.workers),
       latency_(metrics::default_latency_bounds()) {
-    if (options_.queue_capacity < 1)
-        throw std::invalid_argument("Fastpath: queue_capacity must be >= 1");
-    if (!(options_.propagation_delay >= 0.0))
-        throw std::invalid_argument("Fastpath: propagation_delay must be >= 0");
     if (!(options_.quantum > 0.0)) throw std::invalid_argument("Fastpath: quantum must be > 0");
     if (!(options_.sample_period > 0.0))
         throw std::invalid_argument("Fastpath: sample_period must be > 0");
@@ -91,7 +87,7 @@ Fastpath::Fastpath(const model::ProblemSpec& spec, FastpathOptions options)
     static_path_latency_.assign(flows, 0.0);
     for (std::size_t i = 0; i < flows; ++i) {
         const std::uint32_t chain = plan_.chainLength(i);
-        double base = static_cast<double>(chain + 1) * options_.propagation_delay;
+        double base = static_cast<double>(chain + 1) * dataplane::kPropagationDelay;
         for (std::uint32_t h = plan_.flow_link_begin[i]; h < plan_.flow_link_begin[i + 1]; ++h) {
             const std::uint32_t s = plan_.flow_link_slots[h];
             const double cap = link_state_[plan_.link_slot_link[s]].capacity;
@@ -401,7 +397,7 @@ void Fastpath::serveGroup(const GateGroup& group, int worker) {
             scatterSlot<kNode>(slot(k), served[k], backlog_before[k], ent.capacity);
         }
 
-        // Queue what fits, drop the rest.  The entity's queue_capacity is
+        // Queue what fits, drop the rest.  The entity's queue bound is
         // shared across its slots; under overload the room is split
         // proportionally to each slot's unserved count (floor + rotating
         // remainder), emulating the event dataplane's FIFO admission —
@@ -409,11 +405,11 @@ void Fastpath::serveGroup(const GateGroup& group, int worker) {
         // arrivals, never in slot order.
         std::uint64_t total_unserved = 0;
         for (std::size_t k = 0; k < n; ++k) total_unserved += demand[k] - served[k];
-        if (total_unserved <= options_.queue_capacity) {
+        if (total_unserved <= dataplane::kQueueCapacity) {
             for (std::size_t k = 0; k < n; ++k) backlog[k] = demand[k] - served[k];
             ent.queue_depth = total_unserved;
         } else {
-            const double ratio = static_cast<double>(options_.queue_capacity) /
+            const double ratio = static_cast<double>(dataplane::kQueueCapacity) /
                                  static_cast<double>(total_unserved);
             std::uint64_t kept_total = 0;
             for (std::size_t k = 0; k < n; ++k) {
@@ -426,7 +422,7 @@ void Fastpath::serveGroup(const GateGroup& group, int worker) {
             // Rotate the start of the remainder hand-out with the quantum
             // counter so no slot is structurally favoured; still a pure
             // function of (quantum, slot order) — worker-independent.
-            std::uint64_t leftover = options_.queue_capacity - kept_total;
+            std::uint64_t leftover = dataplane::kQueueCapacity - kept_total;
             while (leftover > 0) {
                 bool granted = false;
                 for (std::size_t off = 0; off < n && leftover > 0; ++off) {
@@ -439,7 +435,7 @@ void Fastpath::serveGroup(const GateGroup& group, int worker) {
                 }
                 if (!granted) break;  // unreachable: headroom exceeds leftover
             }
-            ent.queue_depth = options_.queue_capacity - leftover;
+            ent.queue_depth = dataplane::kQueueCapacity - leftover;
         }
         for (std::size_t k = 0; k < n; ++k) ent.dropped += demand[k] - served[k] - backlog[k];
     }

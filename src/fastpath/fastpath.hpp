@@ -24,7 +24,7 @@
 //                  while one still fits the budget (work-conserving,
 //                  the batched analog of the event dataplane's FIFO
 //                  share).  Unserved messages queue up to
-//                  queue_capacity per entity, the rest drop.
+//                  dataplane::kQueueCapacity per entity, the rest drop.
 //                  Store-and-forward: served cohorts land in the *next*
 //                  quantum's double-buffered incoming queues (next link
 //                  hop, or the node fan-out); served node cohorts
@@ -68,8 +68,6 @@ namespace lrgp::fastpath {
 struct FastpathOptions {
     std::uint64_t seed = 1;  ///< base seed; flow i draws from seed + i
     dataplane::ArrivalProcess arrivals = dataplane::ArrivalProcess::kDeterministic;
-    std::size_t queue_capacity = 64;  ///< queued messages per entity
-    double propagation_delay = 1e-4;  ///< per hop (latency model only)
     double sample_period = 0.5;       ///< achieved-utility sampling (seconds)
     double quantum = 0.05;            ///< simulated seconds per step
     int workers = 1;                  ///< TaskPool threads; 0 = hardware concurrency

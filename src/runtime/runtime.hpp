@@ -10,15 +10,16 @@
 // same subproblems, same boundary-budget arithmetic, no barrier between
 // shards, faults in wall-clock (or virtual) time.
 //
-// Tolerance mechanisms (docs/async_runtime.md has the state machines):
+// Tolerance mechanisms (docs/async_runtime.md has the state machines
+// and runtime.cpp the protocol timers):
 //  * heartbeat failure suspicion — any digest doubles as a heartbeat;
-//    a peer silent past heartbeat_timeout becomes *suspected*, and
+//    a peer silent past the heartbeat timeout becomes *suspected*, and
 //    sends to it back off exponentially (with deterministic jitter)
 //    instead of flooding a dead peer;
 //  * graceful degradation — while any peer sharing a boundary resource
 //    is suspected, the agent clamps its slice of that resource to the
 //    guaranteed-feasible floor, trading utility for safety;
-//  * bounded staleness — digests older than staleness_horizon (and
+//  * bounded staleness — digests older than the staleness horizon (and
 //    out-of-order or replayed ones, by version/epoch) are rejected;
 //  * crash recovery — agents snapshot their engine periodically
 //    (lrgp/snapshot.hpp); a fault-plan crash discards live state, and
@@ -34,7 +35,7 @@
 // Execution modes:
 //  * deterministic (default) — virtual time: all agent threads step in
 //    lockstep ticks separated by a std::barrier, and time advances
-//    tick_period per tick.  Because the transport's delivery order is
+//    one tick period per tick.  Because the transport's delivery order is
 //    schedule-independent and latency_min > 0 keeps a tick's sends out
 //    of the same tick's receives, the whole run — utility trace, digest
 //    logs, every counter — is byte-identical across reruns and thread
@@ -68,32 +69,6 @@ struct RuntimeOptions {
     /// Virtual-time lockstep (byte-identical reruns) vs wall clock.
     bool deterministic = true;
 
-    /// Agent loop period in seconds; every tick an agent drains its
-    /// inbox, steps its engine and sends due digests.
-    double tick_period = 0.005;
-    /// Engine iterations per tick.
-    int iters_per_tick = 1;
-    /// Digest (= heartbeat) spacing per live peer.
-    double digest_period = 0.01;
-
-    /// A peer silent for longer than this is suspected.  Must be >=
-    /// digest_period — suspecting peers faster than they heartbeat
-    /// would flap on every healthy gap.
-    double heartbeat_timeout = 0.25;
-    /// Digests older than this are rejected on receipt.  Must be >=
-    /// digest_period (the heartbeat interval): a shorter horizon would
-    /// reject every digest that shared a tick with a scheduling hiccup.
-    double staleness_horizon = 0.6;
-
-    /// Exponential backoff for sends to a suspected peer, in seconds.
-    /// backoff_factor must be > 1 or the backoff never backs off.
-    double backoff_min = 0.05;
-    double backoff_max = 0.8;
-    double backoff_factor = 2.0;
-    /// Deterministic jitter fraction in [0, 1): each backoff interval
-    /// is scaled by (1 + jitter * u), u drawn per agent.
-    double backoff_jitter = 0.2;
-
     /// Transport latency bounds (TransportOptions); latency_min > 0.
     double latency_min = 0.001;
     double latency_max = 0.004;
@@ -103,28 +78,8 @@ struct RuntimeOptions {
     /// (runtime/transport.hpp).
     std::size_t queue_capacity = 64;
 
-    /// Engine snapshot spacing (crash-recovery checkpoint interval).
-    double snapshot_period = 0.5;
     /// Utility sampling period of the driver (utilityTrace()).
     double sample_period = 0.05;
-
-    /// Coordinator rebalance attempt spacing, in ticks.
-    int reconcile_ticks = 8;
-    /// Budget-exchange stepsize in [0, 1] (shard/budget.hpp).
-    double reconcile_step = 0.5;
-    /// Hysteresis: transfers below this fraction of a resource's
-    /// capacity — AND below this fraction of every individual slice —
-    /// are not worth a handshake.  (The per-slice clause lets a
-    /// collapsed slice regrow: its early steps are absolutely tiny but
-    /// relatively huge.)
-    double min_rebalance_fraction = 1e-3;
-    /// Price quarantine after a degraded slice is restored, in seconds.
-    /// A price measured against a floored capacity is meaningless for
-    /// rebalancing, and the engine's price controller needs time to
-    /// decay back once the real slice returns; while a slice is
-    /// degraded — and for this long after restore — its price is not
-    /// advertised and its coordinator defers rebalancing.
-    double price_settle = 0.5;
 
     std::uint32_t seed = 1;
     /// Live fault schedule.  Message faults match runtime agent i as
@@ -132,10 +87,6 @@ struct RuntimeOptions {
     /// kind (so the standard catalog's node/source crashes both hit
     /// agent `index`).
     faults::FaultPlan fault_plan;
-
-    /// Partitioner knobs (shard/partitioner.hpp).
-    int refine_passes = 3;
-    double balance_slack = 0.25;
 
     /// Record per-agent digest logs (hexfloat, byte-stable in
     /// deterministic mode; see AsyncShardRuntime::digestLog).

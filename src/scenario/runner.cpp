@@ -20,6 +20,10 @@ namespace {
 /// Iteration cap of every convergence solve: the replay's final solve
 /// and the best-known reference solve.
 constexpr int kMaxConvergeIterations = 4000;
+/// Scenario seconds per LRGP iteration (the async runtime's sample
+/// period), and the replay's tail after the scenario's duration.
+constexpr double kTick = 0.05;
+constexpr double kSettle = 6.0;
 /// Closed-loop dataplane: its traffic seed, and the extra traffic time
 /// after the replay's final enactment.
 constexpr std::uint64_t kDataplaneSeed = 1;
@@ -81,7 +85,7 @@ ScenarioRunReport runAsync(const ScenarioSpec& scenario, const RunnerOptions& op
     runtime::RuntimeOptions ropts;
     ropts.agents = options.shards;
     ropts.deterministic = true;
-    ropts.sample_period = options.tick;
+    ropts.sample_period = kTick;
     report.sample_period = ropts.sample_period;
 
     runtime::AsyncShardRuntime runtime(scenario.problem, options.lrgp, ropts);
@@ -112,7 +116,7 @@ ScenarioRunReport runAsync(const ScenarioSpec& scenario, const RunnerOptions& op
             ++next;
         }
     }
-    const double total = scenario.options.duration + options.settle;
+    const double total = scenario.options.duration + kSettle;
     if (total > now) runtime.runFor(total - now);
 
     report.utility_trace = runtime.utilityTrace();
@@ -153,12 +157,11 @@ double best_known_utility(const ScenarioSpec& scenario, const core::LrgpOptions&
 }
 
 ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions& options) {
-    if (!(options.tick > 0.0)) throw std::invalid_argument("run_scenario: tick must be positive");
     if (options.engine == "async") return runAsync(scenario, options);
 
     ScenarioRunReport report;
     report.engine = options.engine;
-    report.sample_period = options.tick;
+    report.sample_period = kTick;
 
     const auto engine = shard::make_engine(options.engine, scenario.problem, options.lrgp,
                                            options.threads, options.shards);
@@ -180,11 +183,11 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
         enactor.emplace(eopts, [&](const model::Allocation& alloc) { dp->enact(alloc); });
     }
 
-    const double total = scenario.options.duration + options.settle;
-    const int ticks = static_cast<int>(std::lround(total / options.tick));
+    const double total = scenario.options.duration + kSettle;
+    const int ticks = static_cast<int>(std::lround(total / kTick));
     std::size_t next = 0;
     for (int i = 1; i <= ticks; ++i) {
-        const double t = static_cast<double>(i) * options.tick;
+        const double t = static_cast<double>(i) * kTick;
         while (next < scenario.schedule.size() && scenario.schedule[next].time <= t) {
             applyToEngine(*engine, scenario.schedule[next]);
             if (dp) mirrorToDataplane(*dp, scenario.schedule[next], scenario.physical_capacity_scale);

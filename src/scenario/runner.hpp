@@ -39,8 +39,6 @@ struct RunnerOptions {
     std::string engine = "incremental";
     int shards = 4;    ///< sharded shard count / async agent count
     int threads = 1;   ///< compiled/incremental worker threads
-    double tick = 0.05;           ///< scenario seconds per LRGP iteration
-    double settle = 6.0;          ///< replay tail after the last scheduled op
 
     bool with_dataplane = false;
 

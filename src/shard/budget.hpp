@@ -44,4 +44,17 @@ struct RebalanceResult {
                                                 const std::vector<double>& prices,
                                                 double step);
 
+// The reconcile policy, shared by ShardedLrgpEngine and the async
+// shard-agent runtime (one runtime tick runs one engine iteration, so
+// both count the interval in member-engine iterations).
+
+/// Member-engine iterations between reconcile passes.
+inline constexpr int kReconcileInterval = 8;
+/// The `step` of rebalance_budgets for a pass at full strength.
+inline constexpr double kReconcileStep = 0.5;
+/// Hysteresis: a pass that would move at most this fraction of a
+/// resource's capacity leaves its budgets alone, so converged splits
+/// stop resetting the member engines.
+inline constexpr double kMinRebalanceFraction = 1e-3;
+
 }  // namespace lrgp::shard

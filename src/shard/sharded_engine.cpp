@@ -12,6 +12,18 @@
 
 namespace lrgp::shard {
 
+namespace {
+
+/// The effective reconcile step is multiplied by this after every pass
+/// that moved budget, so reconciliation terminates even when contended
+/// boundary prices never equalize exactly (the member oscillations would
+/// otherwise re-trigger transfers forever).  Any dynamic op (capacity,
+/// flows, classes, warm start) resets the step to kReconcileStep: the
+/// engine re-adapts at full strength after real changes.
+constexpr double kReconcileStepDecay = 0.8;
+
+}  // namespace
+
 ShardedLrgpEngine::ShardedLrgpEngine(model::ProblemSpec spec, core::LrgpOptions options,
                                      ShardedConfig config)
     : spec_(std::move(spec)),
@@ -20,15 +32,7 @@ ShardedLrgpEngine::ShardedLrgpEngine(model::ProblemSpec spec, core::LrgpOptions 
       detector_(options_.convergence) {
     if (config_.shards < 1)
         throw std::invalid_argument("ShardedLrgpEngine: shards must be >= 1");
-    if (config_.reconcile_interval < 1)
-        throw std::invalid_argument("ShardedLrgpEngine: reconcile_interval must be >= 1");
-    if (!(config_.reconcile_step >= 0.0 && config_.reconcile_step <= 1.0))
-        throw std::invalid_argument("ShardedLrgpEngine: reconcile_step must be in [0, 1]");
-    if (!(config_.reconcile_step_decay > 0.0 && config_.reconcile_step_decay <= 1.0))
-        throw std::invalid_argument("ShardedLrgpEngine: reconcile_step_decay must be in (0, 1]");
-    if (!(config_.min_rebalance_fraction >= 0.0))
-        throw std::invalid_argument("ShardedLrgpEngine: min_rebalance_fraction must be >= 0");
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 
     PartitionOptions popts;
     popts.shards = config_.shards;
@@ -161,7 +165,7 @@ const core::IterationRecord& ShardedLrgpEngine::step() {
         },
         [this](std::size_t s) { mergeMember(s); });
     publishRecord();
-    if (++steps_since_reconcile_ >= config_.reconcile_interval) {
+    if (++steps_since_reconcile_ >= kReconcileInterval) {
         bool moved = false;
         reconcile(moved);
         steps_since_reconcile_ = 0;
@@ -181,7 +185,7 @@ std::optional<int> ShardedLrgpEngine::runUntilConverged(int max_iterations) {
         throw std::invalid_argument("ShardedLrgpEngine::runUntilConverged: bad max_iterations");
     int advanced = 0;
     while (advanced < max_iterations) {
-        const int round = std::min(config_.reconcile_interval, max_iterations - advanced);
+        const int round = std::min(kReconcileInterval, max_iterations - advanced);
         pool_->forEachMergeOrdered(
             members_.size(),
             [this, round](std::size_t s, int) {
@@ -231,7 +235,7 @@ void ShardedLrgpEngine::reconcile(bool& moved) {
             exchanges += m;
             RebalanceResult result = rebalance_budgets(entry.capacity, entry.budget, entry.floor,
                                                        local_prices, effective_step_);
-            if (result.moved <= config_.min_rebalance_fraction * entry.capacity) continue;
+            if (result.moved <= kMinRebalanceFraction * entry.capacity) continue;
             for (std::size_t i = 0; i < m; ++i) {
                 if (result.budget[i] == entry.budget[i]) continue;
                 Member& member = members_[static_cast<std::size_t>(entry.shards[i])];
@@ -254,7 +258,7 @@ void ShardedLrgpEngine::reconcile(bool& moved) {
 
     // Geometric step decay guarantees termination: once moves shrink
     // below the hysteresis threshold, converged shards stay paused.
-    if (moved) effective_step_ *= config_.reconcile_step_decay;
+    if (moved) effective_step_ *= kReconcileStepDecay;
 
     stats_.passes += 1;
     stats_.price_exchanges += exchanges;
@@ -303,7 +307,7 @@ void ShardedLrgpEngine::removeFlow(model::FlowId flow) {
     spec_.setFlowActive(flow, false);
     mergeMember(s);
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 void ShardedLrgpEngine::restoreFlow(model::FlowId flow) {
@@ -314,7 +318,7 @@ void ShardedLrgpEngine::restoreFlow(model::FlowId flow) {
     spec_.setFlowActive(flow, true);
     mergeMember(s);
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 void ShardedLrgpEngine::setNodeCapacity(model::NodeId node, double capacity) {
@@ -341,7 +345,7 @@ void ShardedLrgpEngine::setNodeCapacity(model::NodeId node, double capacity) {
         }
     }
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 void ShardedLrgpEngine::setLinkCapacity(model::LinkId link, double capacity) {
@@ -366,7 +370,7 @@ void ShardedLrgpEngine::setLinkCapacity(model::LinkId link, double capacity) {
         }
     }
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 void ShardedLrgpEngine::setClassMaxConsumers(model::ClassId cls, int max_consumers) {
@@ -379,7 +383,7 @@ void ShardedLrgpEngine::setClassMaxConsumers(model::ClassId cls, int max_consume
     spec_.setClassMaxConsumers(cls, max_consumers);
     mergeMember(s);
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 void ShardedLrgpEngine::warmStart(const core::PriceVector& prices,
@@ -408,7 +412,7 @@ void ShardedLrgpEngine::warmStart(const core::PriceVector& prices,
     prices_ = prices;
     if (populations != nullptr) allocation_.populations = *populations;
     detector_.reset();
-    effective_step_ = config_.reconcile_step;
+    effective_step_ = kReconcileStep;
 }
 
 // -- observability ----------------------------------------------------------

@@ -56,21 +56,6 @@ struct ShardedConfig {
     /// Top-level TaskPool threads; 0 = min(shards, hardware_concurrency).
     /// Member engines always run with threads = 1 (no nested pools).
     int threads = 0;
-    /// Lockstep iterations (or gated rounds) between reconcile passes.
-    int reconcile_interval = 8;
-    /// Budget-exchange stepsize in [0, 1] (shard/budget.hpp).
-    double reconcile_step = 0.5;
-    /// The effective step is multiplied by this after every pass that
-    /// moved budget, so reconciliation provably terminates even when
-    /// contended boundary prices never equalize exactly (the member
-    /// oscillations would otherwise re-trigger transfers forever).  Any
-    /// dynamic op (capacity, flows, classes, warm start) resets the
-    /// decay — the engine re-adapts at full step after real changes.
-    double reconcile_step_decay = 0.8;
-    /// Hysteresis: a reconcile pass only applies (and only counts as
-    /// movement) transfers above this fraction of a resource's capacity,
-    /// so converged budget splits stop resetting shard detectors.
-    double min_rebalance_fraction = 1e-3;
     /// Partitioner knobs (PartitionOptions; shards is taken from above).
     int refine_passes = 3;
     double balance_slack = 0.25;
@@ -211,8 +196,8 @@ private:
     core::PriceVector prices_;      ///< merged global prices
     int iteration_ = 0;
     int steps_since_reconcile_ = 0;
-    /// Current reconcile stepsize (config_.reconcile_step decayed by
-    /// reconcile_step_decay after every pass that moved budget).
+    /// Current reconcile stepsize (kReconcileStep decayed after every
+    /// pass that moved budget).
     double effective_step_ = 0.0;
     core::IterationRecord last_record_;
     metrics::TimeSeries trace_;

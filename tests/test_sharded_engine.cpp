@@ -465,16 +465,6 @@ TEST(ShardedEngine, WarmStartSeedsPricesAcrossShards) {
 TEST(ShardedEngine, ValidatesConfigAndArguments) {
     const model::ProblemSpec spec = workload::make_federated_workload(small_options());
     EXPECT_THROW(shard::ShardedLrgpEngine(spec, {}, config_for(0)), std::invalid_argument);
-    {
-        shard::ShardedConfig bad = config_for(2);
-        bad.reconcile_interval = 0;
-        EXPECT_THROW(shard::ShardedLrgpEngine(spec, {}, bad), std::invalid_argument);
-    }
-    {
-        shard::ShardedConfig bad = config_for(2);
-        bad.reconcile_step = 1.5;
-        EXPECT_THROW(shard::ShardedLrgpEngine(spec, {}, bad), std::invalid_argument);
-    }
     shard::ShardedLrgpEngine engine(spec, {}, config_for(2));
     EXPECT_THROW(engine.run(0), std::invalid_argument);
     EXPECT_THROW(engine.runUntilConverged(0), std::invalid_argument);
