@@ -1,17 +1,32 @@
 #include "model/analysis.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 namespace lrgp::model {
 
 double jain_index(const std::vector<double>& values) {
     double sum = 0.0, sum_sq = 0.0;
-    std::size_t n = 0;
     for (double v : values) {
         sum += v;
         sum_sq += v * v;
-        ++n;
     }
-    if (n == 0 || sum_sq == 0.0) return 0.0;
-    return (sum * sum) / (static_cast<double>(n) * sum_sq);
+    const auto n = static_cast<double>(values.size());
+    if (!std::isfinite(sum * sum) || !std::isfinite(n * sum_sq)) {
+        // Large values overflow the plain sums.  The index is scale-free,
+        // so recompute it over the values divided by their largest
+        // magnitude; inputs that do not overflow keep the plain formula.
+        double scale = 0.0;
+        for (double v : values) scale = std::max(scale, std::abs(v));
+        sum = 0.0;
+        sum_sq = 0.0;
+        for (double v : values) {
+            sum += v / scale;
+            sum_sq += (v / scale) * (v / scale);
+        }
+    }
+    if (values.empty() || sum_sq == 0.0) return 0.0;
+    return (sum * sum) / (n * sum_sq);
 }
 
 AllocationSummary summarize(const ProblemSpec& spec, const Allocation& alloc) {

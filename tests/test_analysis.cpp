@@ -24,6 +24,14 @@ TEST(JainIndex, EdgeCases) {
     EXPECT_DOUBLE_EQ(model::jain_index({7.0}), 1.0);
 }
 
+TEST(JainIndex, LargeValuesDoNotOverflow) {
+    // The plain sums overflow to +inf here (inf / inf was NaN, and a
+    // finite numerator over an infinite denominator read as 0).
+    EXPECT_DOUBLE_EQ(model::jain_index({1e300, 1e300}), 1.0);
+    EXPECT_DOUBLE_EQ(model::jain_index({1e300, 0.0}), 0.5);
+    EXPECT_DOUBLE_EQ(model::jain_index({1e154, 0.0, 0.0, 0.0}), 0.25);
+}
+
 TEST(Summarize, CountsAdmissionBuckets) {
     const auto t = make_tiny_problem();
     auto alloc = model::Allocation::minimal(t.spec);
