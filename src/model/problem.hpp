@@ -113,6 +113,7 @@ public:
     [[nodiscard]] bool flowActive(FlowId id) const { return flows_.at(id.index()).active; }
 
     /// Adjusts a node capacity in place (workload-change experiments).
+    /// Throws unless the capacity is finite and positive.
     void setNodeCapacity(NodeId id, double capacity);
     void setLinkCapacity(LinkId id, double capacity);
 
@@ -155,7 +156,8 @@ private:
 /// Incrementally assembles and validates a ProblemSpec.
 ///
 /// All add/route methods throw std::invalid_argument on bad arguments
-/// (unknown ids, non-positive capacities, inverted rate bounds, ...).
+/// (unknown ids, non-positive or non-finite capacities, costs and rate
+/// bounds, inverted rate bounds, ...).
 class ProblemBuilder {
 public:
     /// Adds a node with capacity c_b > 0.
@@ -183,8 +185,10 @@ public:
                      std::shared_ptr<const utility::UtilityFunction> utility);
 
     /// Validates cross-references (every class's node must be on its
-    /// flow's route; link endpoints must exist) and returns the spec.
-    /// Throws std::invalid_argument on any inconsistency.
+    /// flow's route; link endpoints must exist) and that every node's
+    /// sum of F * rate_max and every link's sum of L * rate_max over
+    /// its flows is finite, and returns the spec.  Throws
+    /// std::invalid_argument on any inconsistency.
     [[nodiscard]] ProblemSpec build() const;
 
 private:
