@@ -26,7 +26,7 @@ int main() {
     dist::DistOptions options;
     options.synchronous = false;
     options.sample_period = kSamplePeriod;
-    options.robustness = dist::RobustnessOptions::standard();
+    options.hardened = true;
     options.fault_plan.crashes.push_back(faults::CrashEvent{
         {faults::AgentKind::kNode, static_cast<std::uint32_t>(victim.index())},
         kCrashAt, kRestartAt});

@@ -17,7 +17,7 @@
 // The asynchronous mode can additionally be chaos-hardened: a
 // faults::FaultPlan injects message loss, delay spikes, reordering,
 // partitions, agent crash/restart and price corruption, while
-// RobustnessOptions enables heartbeat failure detection, stale-price
+// DistOptions::hardened enables heartbeat failure detection, stale-price
 // expiry, exponential-backoff re-announcement and graceful degradation
 // to the flow's minimum rate.  Everything stays deterministic: the same
 // (problem, options, plan, seed) reproduces a bitwise-identical run.
@@ -43,38 +43,6 @@
 
 namespace lrgp::dist {
 
-/// Fault-tolerance knobs for the asynchronous protocol.  All zero by
-/// default: the baseline protocol relies only on Section 3.5's price
-/// averaging.  Enable heartbeat_timeout to turn on failure detection;
-/// the other mechanisms build on it.
-struct RobustnessOptions {
-    /// A priced resource (or a flow, seen from a node) is *suspected*
-    /// once it has been silent for this long.  0 disables detection.
-    sim::SimTime heartbeat_timeout = 0.0;
-    /// Price-window entries older than this are expired instead of
-    /// being averaged forever; the newest entry is always retained as
-    /// the last-known price.  0 disables expiry.
-    sim::SimTime price_max_age = 0.0;
-    /// While a resource is suspected, the source stops streaming rates
-    /// to it every tick and instead re-announces with exponential
-    /// backoff in [min, max] — fast recovery without flooding a dead
-    /// peer.  0 disables backoff (suspected peers keep receiving every
-    /// tick).  Requires heartbeat_timeout > 0.
-    sim::SimTime reannounce_backoff_min = 0.0;
-    sim::SimTime reannounce_backoff_max = 0.0;
-    /// When more than this fraction of a source's priced resources are
-    /// suspected, the source degrades gracefully: it clamps its rate to
-    /// r_min instead of trusting stale prices.
-    double degrade_fraction = 0.5;
-
-    [[nodiscard]] bool enabled() const noexcept { return heartbeat_timeout > 0.0; }
-
-    /// The hardened preset used by the chaos suite: 0.25s heartbeat,
-    /// 0.6s price expiry, 0.05s-0.8s re-announcement backoff, majority
-    /// degradation.
-    [[nodiscard]] static RobustnessOptions standard();
-};
-
 struct DistOptions {
     core::GammaPolicy gamma = core::AdaptiveGamma{};
     double link_gamma = 1e-5;
@@ -96,8 +64,13 @@ struct DistOptions {
 
     /// Scheduled fault injections (async only; empty = no chaos).
     faults::FaultPlan fault_plan;
-    /// Hardening mechanisms (async only; zeros = baseline protocol).
-    RobustnessOptions robustness;
+    /// Hardening (async only; false = the baseline protocol, which relies
+    /// only on Section 3.5's price averaging): heartbeat suspicion,
+    /// stale-price expiry, exponential-backoff re-announcement to
+    /// suspected peers, and degradation to r_min when most of a source's
+    /// priced resources are suspected.  The timings are constants in
+    /// dist_lrgp.cpp.
+    bool hardened = false;
 };
 
 /// Drives the distributed protocol and records the utility trace.
@@ -106,7 +79,7 @@ public:
     /// Validates `options` (and the fault plan against the problem
     /// size); throws std::invalid_argument on inconsistent settings —
     /// inverted latency bounds, loss probability outside [0, 1], loss /
-    /// faults / robustness in synchronous mode, zero price window, bad
+    /// faults / hardening in synchronous mode, zero price window, bad
     /// agent or sample periods, malformed fault plans, or fault-plan
     /// agent references outside the problem.
     DistLrgp(model::ProblemSpec spec, DistOptions options = {});
@@ -200,9 +173,7 @@ private:
     [[nodiscard]] double simMicros() const noexcept { return simulator_.now() * 1e6; }
 
     [[nodiscard]] std::size_t eventBudget(sim::SimTime seconds) const;
-    [[nodiscard]] bool hardened() const noexcept {
-        return !options_.synchronous && options_.robustness.enabled();
-    }
+    [[nodiscard]] bool hardened() const noexcept { return options_.hardened; }
 
     void onRoundCompletedAtNode(int round, const NodeAgent& agent);
     void startSyncRound();

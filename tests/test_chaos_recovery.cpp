@@ -25,7 +25,7 @@ DistOptions hardened_options(faults::FaultPlan plan) {
     DistOptions options;
     options.synchronous = false;
     options.sample_period = kSamplePeriod;
-    options.robustness = dist::RobustnessOptions::standard();
+    options.hardened = true;
     options.fault_plan = std::move(plan);
     return options;
 }
@@ -145,8 +145,8 @@ TEST(ChaosRecovery, TotalPartitionDegradesSourcesToRateFloor) {
 }
 
 TEST(ChaosRecovery, UnhardenedRunsAcceptPlansToo) {
-    // Fault plans work without RobustnessOptions — the comparison runs
-    // the bench relies on (price averaging only).
+    // Fault plans work without hardening: the baseline protocol (price
+    // averaging only) runs under chaos too.
     const auto spec = workload::make_base_workload();
     faults::FaultPlan plan;
     plan.losses.push_back(
@@ -181,23 +181,9 @@ TEST(ChaosValidation, SynchronousModeRejectsChaos) {
     with_plan.fault_plan.reorders.push_back(faults::ReorderWindow{{0.0, 1.0}, 0.5, 0.1});
     EXPECT_THROW((DistLrgp{spec, with_plan}), std::invalid_argument);
 
-    DistOptions with_robustness;
-    with_robustness.robustness = dist::RobustnessOptions::standard();
-    EXPECT_THROW((DistLrgp{spec, with_robustness}), std::invalid_argument);
-}
-
-TEST(ChaosValidation, BackoffRequiresHeartbeat) {
-    const auto spec = workload::make_base_workload();
-    DistOptions options;
-    options.synchronous = false;
-    options.robustness.reannounce_backoff_min = 0.1;
-    options.robustness.reannounce_backoff_max = 0.5;
-    EXPECT_THROW((DistLrgp{spec, options}), std::invalid_argument);
-
-    options.robustness.heartbeat_timeout = 0.25;
-    options.robustness.reannounce_backoff_min = 0.6;  // min > max
-    options.robustness.reannounce_backoff_max = 0.5;
-    EXPECT_THROW((DistLrgp{spec, options}), std::invalid_argument);
+    DistOptions hardened;
+    hardened.hardened = true;
+    EXPECT_THROW((DistLrgp{spec, hardened}), std::invalid_argument);
 }
 
 // ----------------------------------------------------- recovery metrics
