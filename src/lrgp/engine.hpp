@@ -95,8 +95,9 @@ public:
     virtual void setClassMaxConsumers(model::ClassId cls, int max_consumers) = 0;
 
     /// Warm start: seeds prices (and optionally populations) from a
-    /// previous run.  Sizes must match this engine's problem; throws
-    /// std::invalid_argument otherwise.
+    /// previous run.  Throws std::invalid_argument, before changing any
+    /// state, when check_warm_start rejects the arguments.  Populations
+    /// above a class's n^max are clamped to it.
     virtual void warmStart(const PriceVector& prices,
                            const std::vector<int>* populations = nullptr) = 0;
 
@@ -122,5 +123,11 @@ public:
 protected:
     Engine() = default;
 };
+
+/// Throws std::invalid_argument unless `prices` (and `populations`, when
+/// given) are sized for `spec`, every price is finite and >= 0, and no
+/// population is negative.  Every engine's warmStart runs it first.
+void check_warm_start(const model::ProblemSpec& spec, const PriceVector& prices,
+                      const std::vector<int>* populations);
 
 }  // namespace lrgp::core

@@ -1,6 +1,7 @@
 #include "lrgp/optimizer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/clock.hpp"
@@ -188,18 +189,30 @@ void LrgpOptimizer::setClassMaxConsumers(model::ClassId cls, int max_consumers) 
     noteConvergenceReset();
 }
 
+void check_warm_start(const model::ProblemSpec& spec, const PriceVector& prices,
+                      const std::vector<int>* populations) {
+    if (prices.node.size() != spec.nodeCount() || prices.link.size() != spec.linkCount())
+        throw std::invalid_argument("warmStart: price vector sized for another problem");
+    const auto bad_price = [](double p) { return !(p >= 0.0) || !std::isfinite(p); };
+    if (std::any_of(prices.node.begin(), prices.node.end(), bad_price) ||
+        std::any_of(prices.link.begin(), prices.link.end(), bad_price))
+        throw std::invalid_argument("warmStart: prices must be finite and >= 0");
+    if (populations == nullptr) return;
+    if (populations->size() != spec.classCount())
+        throw std::invalid_argument("warmStart: populations sized for another problem");
+    if (std::any_of(populations->begin(), populations->end(), [](int n) { return n < 0; }))
+        throw std::invalid_argument("warmStart: populations must be >= 0");
+}
+
 void LrgpOptimizer::warmStart(const PriceVector& prices,
                               const std::vector<int>* populations) {
-    if (prices.node.size() != spec_.nodeCount() || prices.link.size() != spec_.linkCount())
-        throw std::invalid_argument("warmStart: price vector sized for another problem");
+    check_warm_start(spec_, prices, populations);
     prices_ = prices;
     for (std::size_t b = 0; b < node_prices_.size(); ++b)
         node_prices_[b].reset(prices.node[b]);
     for (std::size_t l = 0; l < link_prices_.size(); ++l)
         link_prices_[l].reset(prices.link[l]);
     if (populations != nullptr) {
-        if (populations->size() != spec_.classCount())
-            throw std::invalid_argument("warmStart: populations sized for another problem");
         for (const model::ClassSpec& c : spec_.classes())
             allocation_.populations[c.id.index()] =
                 std::min((*populations)[c.id.index()], c.max_consumers);

@@ -810,16 +810,13 @@ void ParallelLrgpEngine::setClassMaxConsumers(model::ClassId cls, int max_consum
 
 void ParallelLrgpEngine::warmStart(const PriceVector& prices,
                                    const std::vector<int>* populations) {
-    if (prices.node.size() != spec_.nodeCount() || prices.link.size() != spec_.linkCount())
-        throw std::invalid_argument("warmStart: price vector sized for another problem");
+    check_warm_start(spec_, prices, populations);
     prices_ = prices;
     for (std::size_t b = 0; b < node_prices_.size(); ++b)
         node_prices_[b].reset(prices.node[b]);
     for (std::size_t l = 0; l < link_prices_.size(); ++l)
         link_prices_[l].reset(prices.link[l]);
     if (populations != nullptr) {
-        if (populations->size() != spec_.classCount())
-            throw std::invalid_argument("warmStart: populations sized for another problem");
         for (const model::ClassSpec& c : spec_.classes())
             allocation_.populations[c.id.index()] =
                 std::min((*populations)[c.id.index()], c.max_consumers);

@@ -1,18 +1,25 @@
 #include "lrgp/price_controllers.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace lrgp::core {
 
 namespace {
 
+/// False for negatives, NaN and +inf.
+bool finite_non_negative(double x) { return x >= 0.0 && std::isfinite(x); }
+
 void validateAdaptive(const AdaptiveGamma& g) {
-    if (!(g.min > 0.0) || !(g.min <= g.max))
-        throw std::invalid_argument("AdaptiveGamma: need 0 < min <= max");
+    if (!(g.min > 0.0) || !(g.min <= g.max) || !std::isfinite(g.max))
+        throw std::invalid_argument("AdaptiveGamma: need 0 < min <= max < inf");
     if (!(g.shrink > 0.0 && g.shrink < 1.0))
         throw std::invalid_argument("AdaptiveGamma: shrink must be in (0, 1)");
-    if (g.increment < 0.0) throw std::invalid_argument("AdaptiveGamma: negative increment");
+    if (!finite_non_negative(g.increment))
+        throw std::invalid_argument("AdaptiveGamma: increment must be finite and >= 0");
+    if (!std::isfinite(g.initial))
+        throw std::invalid_argument("AdaptiveGamma: initial must be finite");
 }
 
 }  // namespace
@@ -20,15 +27,15 @@ void validateAdaptive(const AdaptiveGamma& g) {
 NodePriceController::NodePriceController(GammaPolicy policy, double initial_price,
                                          NodePriceRule rule)
     : policy_(policy), price_(initial_price), rule_(rule), adaptive_gamma_(0.0) {
-    if (initial_price < 0.0)
-        throw std::invalid_argument("NodePriceController: negative initial price");
+    if (!finite_non_negative(initial_price))
+        throw std::invalid_argument("NodePriceController: initial price must be finite and >= 0");
     if (const auto* adaptive = std::get_if<AdaptiveGamma>(&policy_)) {
         validateAdaptive(*adaptive);
         adaptive_gamma_ = std::clamp(adaptive->initial, adaptive->min, adaptive->max);
     } else {
         const auto& fixed = std::get<FixedGamma>(policy_);
-        if (fixed.gamma1 < 0.0 || fixed.gamma2 < 0.0)
-            throw std::invalid_argument("FixedGamma: negative stepsize");
+        if (!finite_non_negative(fixed.gamma1) || !finite_non_negative(fixed.gamma2))
+            throw std::invalid_argument("FixedGamma: stepsizes must be finite and >= 0");
     }
 }
 
@@ -76,7 +83,8 @@ double NodePriceController::update(std::optional<double> best_unmet_bc, double u
 }
 
 void NodePriceController::reset(double price) {
-    if (price < 0.0) throw std::invalid_argument("NodePriceController: negative price");
+    if (!finite_non_negative(price))
+        throw std::invalid_argument("NodePriceController: price must be finite and >= 0");
     price_ = price;
     has_last_delta_ = false;
     last_delta_ = 0.0;
@@ -87,9 +95,17 @@ void NodePriceController::reset(double price) {
 
 LinkPriceController::LinkPriceController(double gamma, double initial_price)
     : gamma_(gamma), price_(initial_price) {
-    if (gamma < 0.0) throw std::invalid_argument("LinkPriceController: negative gamma");
-    if (initial_price < 0.0)
-        throw std::invalid_argument("LinkPriceController: negative initial price");
+    if (!finite_non_negative(gamma))
+        throw std::invalid_argument("LinkPriceController: gamma must be finite and >= 0");
+    if (!finite_non_negative(initial_price))
+        throw std::invalid_argument("LinkPriceController: initial price must be finite and >= 0");
+}
+
+void LinkPriceController::reset(double price) {
+    if (!finite_non_negative(price))
+        throw std::invalid_argument("LinkPriceController: price must be finite and >= 0");
+    price_ = price;
+    last_moved_ = false;
 }
 
 double LinkPriceController::update(double usage, double capacity) {

@@ -51,6 +51,8 @@ enum class NodePriceRule { kBenefitCost, kGradientOnly };
 /// Prices are kept non-negative (they are Lagrange multiplier estimates).
 class NodePriceController {
 public:
+    /// Throws std::invalid_argument on a negative or non-finite stepsize
+    /// or initial price.
     explicit NodePriceController(GammaPolicy policy = AdaptiveGamma{}, double initial_price = 0.0,
                                  NodePriceRule rule = NodePriceRule::kBenefitCost);
 
@@ -71,7 +73,8 @@ public:
     [[nodiscard]] bool lastMoved() const noexcept { return last_moved_; }
 
     /// Resets price (and adaptive state) — used when the workload changes
-    /// abruptly and a controller restart is desired.
+    /// abruptly and a controller restart is desired.  Throws
+    /// std::invalid_argument unless `price` is finite and >= 0.
     void reset(double price = 0.0);
 
     /// The full mutable state of the controller (the gamma *policy* is
@@ -112,6 +115,8 @@ private:
 /// Per-link gradient-projection price (Eq. 13).
 class LinkPriceController {
 public:
+    /// Throws std::invalid_argument on a negative or non-finite gamma or
+    /// initial price.
     explicit LinkPriceController(double gamma, double initial_price = 0.0);
 
     /// p = [p + gamma (usage - capacity)]+; returns the new price.
@@ -123,10 +128,8 @@ public:
     /// NodePriceController::lastMoved).
     [[nodiscard]] bool lastMoved() const noexcept { return last_moved_; }
 
-    void reset(double price = 0.0) {
-        price_ = price;
-        last_moved_ = false;
-    }
+    /// Throws std::invalid_argument unless `price` is finite and >= 0.
+    void reset(double price = 0.0);
 
     /// Mutable state for engine snapshots (gamma is configuration).
     struct State {

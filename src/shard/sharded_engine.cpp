@@ -388,10 +388,7 @@ void ShardedLrgpEngine::setClassMaxConsumers(model::ClassId cls, int max_consume
 
 void ShardedLrgpEngine::warmStart(const core::PriceVector& prices,
                                   const std::vector<int>* populations) {
-    if (prices.node.size() != spec_.nodeCount() || prices.link.size() != spec_.linkCount())
-        throw std::invalid_argument("ShardedLrgpEngine::warmStart: price vector size mismatch");
-    if (populations != nullptr && populations->size() != spec_.classCount())
-        throw std::invalid_argument("ShardedLrgpEngine::warmStart: population size mismatch");
+    core::check_warm_start(spec_, prices, populations);
     for (Member& member : members_) {
         if (!member.engine) continue;
         core::PriceVector local = core::PriceVector::zeros(member.nodes.size(),
@@ -410,7 +407,10 @@ void ShardedLrgpEngine::warmStart(const core::PriceVector& prices,
         }
     }
     prices_ = prices;
-    if (populations != nullptr) allocation_.populations = *populations;
+    if (populations != nullptr)
+        for (const model::ClassSpec& c : spec_.classes())
+            allocation_.populations[c.id.index()] =
+                std::min((*populations)[c.id.index()], c.max_consumers);
     detector_.reset();
     effective_step_ = kReconcileStep;
 }
