@@ -192,22 +192,43 @@ ProblemSpec ProblemBuilder::build() const {
     // cost only makes its class unadmittable.  Checked last: before the
     // reverse indexes, these scratch vectors fragmented the heap (+2 MB
     // peak RSS on the 10^5-class federated workload).
-    std::vector<double> node_peak(out.nodes_.size(), 0.0);
-    std::vector<double> link_peak(out.links_.size(), 0.0);
-    for (const FlowSpec& f : out.flows_) {
-        for (const FlowNodeHop& hop : f.nodes)
-            node_peak[hop.node.index()] += hop.flow_node_cost * f.rate_max;
-        for (const FlowLinkHop& hop : f.links)
-            link_peak[hop.link.index()] += hop.link_cost * f.rate_max;
-    }
+    std::vector<double> node_usage(out.nodes_.size(), 0.0);
+    std::vector<double> link_usage(out.links_.size(), 0.0);
+    const auto sum_usage = [&](double FlowSpec::*rate) {
+        std::fill(node_usage.begin(), node_usage.end(), 0.0);
+        std::fill(link_usage.begin(), link_usage.end(), 0.0);
+        for (const FlowSpec& f : out.flows_) {
+            for (const FlowNodeHop& hop : f.nodes)
+                node_usage[hop.node.index()] += hop.flow_node_cost * (f.*rate);
+            for (const FlowLinkHop& hop : f.links)
+                link_usage[hop.link.index()] += hop.link_cost * (f.*rate);
+        }
+    };
+    sum_usage(&FlowSpec::rate_max);
     for (std::size_t b = 0; b < out.nodes_.size(); ++b)
-        if (!std::isfinite(node_peak[b]))
+        if (!std::isfinite(node_usage[b]))
             throw std::invalid_argument("ProblemBuilder: node '" + out.nodes_[b].name +
                                         "' has an infinite sum of F * rate_max over its flows");
     for (std::size_t l = 0; l < out.links_.size(); ++l)
-        if (!std::isfinite(link_peak[l]))
+        if (!std::isfinite(link_usage[l]))
             throw std::invalid_argument("ProblemBuilder: link '" + out.links_[l].name +
                                         "' has an infinite sum of L * rate_max over its flows");
+
+    // The floor: every flow at rate_min with no consumers admitted must
+    // fit, or the problem has no feasible point.  Inactive flows count,
+    // since restoreFlow can bring any of them back.  A resource exactly
+    // at its floor is legal.
+    sum_usage(&FlowSpec::rate_min);
+    for (std::size_t b = 0; b < out.nodes_.size(); ++b)
+        if (node_usage[b] > out.nodes_[b].capacity)
+            throw std::invalid_argument("ProblemBuilder: node '" + out.nodes_[b].name +
+                                        "' cannot carry its flows: the sum of F * rate_min "
+                                        "exceeds its capacity");
+    for (std::size_t l = 0; l < out.links_.size(); ++l)
+        if (link_usage[l] > out.links_[l].capacity)
+            throw std::invalid_argument("ProblemBuilder: link '" + out.links_[l].name +
+                                        "' cannot carry its flows: the sum of L * rate_min "
+                                        "exceeds its capacity");
     return out;
 }
 

@@ -185,10 +185,12 @@ public:
                      std::shared_ptr<const utility::UtilityFunction> utility);
 
     /// Validates cross-references (every class's node must be on its
-    /// flow's route; link endpoints must exist) and that every node's
-    /// sum of F * rate_max and every link's sum of L * rate_max over
-    /// its flows is finite, and returns the spec.  Throws
-    /// std::invalid_argument on any inconsistency.
+    /// flow's route; link endpoints must exist), that every node's sum
+    /// of F * rate_max and every link's sum of L * rate_max over its
+    /// flows is finite, and that the same sums at rate_min do not exceed
+    /// the capacity (otherwise no allocation is feasible), and returns
+    /// the spec.  Throws std::invalid_argument on any inconsistency.  The
+    /// capacity setters of ProblemSpec do not repeat the floor check.
     [[nodiscard]] ProblemSpec build() const;
 
 private:

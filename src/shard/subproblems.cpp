@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "shard/budget.hpp"
 
@@ -130,16 +132,21 @@ SubproblemSet build_subproblems(const model::ProblemSpec& spec, PartitionOptions
             node_in[spec.links()[l].to.index()] = 1;
         }
 
+        // Boundary slices are set after build(): at a node exactly at its
+        // rate_min floor, a shard that reaches it only through zero-F hops
+        // still takes a positive slice from the others, leaving their
+        // slices below the floors build() checks.
         model::ProblemBuilder builder;
+        std::vector<std::pair<model::NodeId, double>> node_slices;
+        std::vector<std::pair<model::LinkId, double>> link_slices;
         for (std::size_t n = 0; n < n_nodes; ++n) {
             if (!node_in[n]) continue;
             const auto& node = spec.nodes()[n];
-            double capacity = node.capacity;
+            const model::NodeId local = builder.addNode(node.name, node.capacity);
             const std::uint32_t bi = out.node_boundary_index[n];
             if (bi != kAbsent && shard_incident(out.node_budgets[bi].shards, s))
-                capacity =
-                    out.node_budgets[bi].budget[shard_rank(out.node_budgets[bi].shards, s)];
-            const model::NodeId local = builder.addNode(node.name, capacity);
+                node_slices.emplace_back(
+                    local, out.node_budgets[bi].budget[shard_rank(out.node_budgets[bi].shards, s)]);
             member.node_local[n] = local.value;
             member.nodes.push_back(static_cast<std::uint32_t>(n));
             const auto& owners = out.partition.shards_of_node[n];
@@ -149,14 +156,13 @@ SubproblemSet build_subproblems(const model::ProblemSpec& spec, PartitionOptions
         for (std::size_t l = 0; l < n_links; ++l) {
             if (!link_in[l]) continue;
             const auto& link = spec.links()[l];
-            double capacity = link.capacity;
-            const std::uint32_t bi = out.link_boundary_index[l];
-            if (bi != kAbsent && shard_incident(out.link_budgets[bi].shards, s))
-                capacity =
-                    out.link_budgets[bi].budget[shard_rank(out.link_budgets[bi].shards, s)];
             const model::LinkId local =
                 builder.addLink(link.name, model::NodeId{member.node_local[link.from.index()]},
-                                model::NodeId{member.node_local[link.to.index()]}, capacity);
+                                model::NodeId{member.node_local[link.to.index()]}, link.capacity);
+            const std::uint32_t bi = out.link_boundary_index[l];
+            if (bi != kAbsent && shard_incident(out.link_budgets[bi].shards, s))
+                link_slices.emplace_back(
+                    local, out.link_budgets[bi].budget[shard_rank(out.link_budgets[bi].shards, s)]);
             member.link_local[l] = local.value;
             member.links.push_back(static_cast<std::uint32_t>(l));
             const auto& owners = out.partition.shards_of_link[l];
@@ -190,6 +196,8 @@ SubproblemSet build_subproblems(const model::ProblemSpec& spec, PartitionOptions
 
         if (!member.flows.empty()) {
             model::ProblemSpec sub = builder.build();
+            for (const auto& [id, slice] : node_slices) sub.setNodeCapacity(id, slice);
+            for (const auto& [id, slice] : link_slices) sub.setLinkCapacity(id, slice);
             for (std::size_t i = 0; i < member.flows.size(); ++i)
                 if (!spec.flows()[member.flows[i]].active)
                     sub.setFlowActive(model::FlowId{static_cast<std::uint32_t>(i)}, false);

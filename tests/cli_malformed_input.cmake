@@ -1,7 +1,8 @@
 # Runs `lrgp_cli --load` on malformed problem files.  Each must end in a
 # typed error (exit 2, an "error:" line on stderr), never an abort (134),
-# a crash (139) or an infeasible allocation.  `--scenario` with a flag
-# its replay would ignore must fail the same way, naming the flag.
+# a crash (139) or an infeasible allocation.  `--gamma nan|inf` and
+# `--scenario` with a flag its replay would ignore must fail the same
+# way, the latter naming the flag.
 #
 #   cmake -DCLI=<path to lrgp_cli> -DWORK_DIR=<scratch dir> -P cli_malformed_input.cmake
 if(NOT CLI OR NOT WORK_DIR)
@@ -32,10 +33,18 @@ string(REGEX REPLACE "\"rate_max\": [0-9.e+-]+" "\"rate_max\": 1e308" huge_rate 
 file(WRITE "${WORK_DIR}/huge_rate_max.json" "${huge_rate}")
 string(REGEX REPLACE "\"cost\": [0-9.e+-]+" "\"cost\": 1e308" huge_cost "${base}")
 file(WRITE "${WORK_DIR}/huge_flow_node_cost.json" "${huge_cost}")
+# The same workload with no feasible point: every flow-node cost F at
+# 2147483647, or every node capacity at 1e-9, puts a node's sum of
+# F * rate_min above its capacity.
+string(REGEX REPLACE "\"cost\": [0-9.e+-]+" "\"cost\": 2147483647" floor_cost "${base}")
+file(WRITE "${WORK_DIR}/floor_above_capacity_cost.json" "${floor_cost}")
+string(REGEX REPLACE "\"capacity\": [0-9.e+-]+" "\"capacity\": 1e-9" floor_capacity "${base}")
+file(WRITE "${WORK_DIR}/floor_above_capacity_capacity.json" "${floor_capacity}")
 
 set(failures "")
 foreach(name truncated negative_capacity deep_nesting fractional_count huge_count
-        huge_rate_max huge_flow_node_cost)
+        huge_rate_max huge_flow_node_cost floor_above_capacity_cost
+        floor_above_capacity_capacity)
   execute_process(
     COMMAND "${CLI}" --load "${WORK_DIR}/${name}.json" --iterations 5
     RESULT_VARIABLE status
@@ -45,6 +54,30 @@ foreach(name truncated negative_capacity deep_nesting fractional_count huge_coun
     string(APPEND failures "  ${name}.json: exit '${status}', stderr '${stderr}'\n")
   else()
     message(STATUS "${name}.json: exit 2, ${stderr}")
+  endif()
+endforeach()
+
+# The unedited base workload loads and runs.
+execute_process(
+  COMMAND "${CLI}" --load "${WORK_DIR}/base.json" --iterations 5
+  RESULT_VARIABLE status
+  OUTPUT_QUIET
+  ERROR_VARIABLE stderr)
+if(NOT status EQUAL 0)
+  string(APPEND failures "  base.json: exit '${status}', stderr '${stderr}'\n")
+endif()
+
+# A non-finite node-price stepsize.
+foreach(gamma nan inf)
+  execute_process(
+    COMMAND "${CLI}" --gamma ${gamma} --iterations 5
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE stderr)
+  if(NOT status EQUAL 2 OR NOT stderr MATCHES "(^|\n)error: ")
+    string(APPEND failures "  --gamma ${gamma}: exit '${status}', stderr '${stderr}'\n")
+  else()
+    message(STATUS "--gamma ${gamma}: exit 2, ${stderr}")
   endif()
 endforeach()
 

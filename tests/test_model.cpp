@@ -169,6 +169,32 @@ TEST(ProblemBuilder, BuildRejectsOverflowingWorstCaseUsage) {
     EXPECT_NO_THROW((void)consumers.build());
 }
 
+TEST(ProblemBuilder, BuildRejectsCapacityBelowTheRateMinFloor) {
+    // Two flows at rate_min 3 with F = 2 need 12 units of the node with
+    // no consumer admitted; with L = 2 they need 12 units of the link.
+    const auto on_node = [](double capacity) {
+        model::ProblemBuilder b;
+        const auto n = b.addNode("n", capacity);
+        for (const char* name : {"f0", "f1"})
+            b.routeThroughNode(b.addFlow(name, n, 3.0, 5.0), n, 2.0);
+        return b.build();
+    };
+    EXPECT_THROW((void)on_node(11.9), std::invalid_argument);
+    EXPECT_NO_THROW((void)on_node(12.0));  // exactly at the floor
+
+    const auto on_link = [](double capacity) {
+        model::ProblemBuilder b;
+        const auto n1 = b.addNode("n1", 100.0);
+        const auto n2 = b.addNode("n2", 100.0);
+        const auto l = b.addLink("l", n1, n2, capacity);
+        for (const char* name : {"f0", "f1"})
+            b.routeOverLink(b.addFlow(name, n1, 3.0, 5.0), l, 2.0);
+        return b.build();
+    };
+    EXPECT_THROW((void)on_link(11.9), std::invalid_argument);
+    EXPECT_NO_THROW((void)on_link(12.0));
+}
+
 TEST(ProblemSpec, FlowActiveToggle) {
     auto t = make_tiny_problem();
     EXPECT_TRUE(t.spec.flowActive(t.flow));

@@ -25,6 +25,7 @@
 #include "shard/budget.hpp"
 #include "shard/partitioner.hpp"
 #include "shard/sharded_engine.hpp"
+#include "utility/utility_function.hpp"
 #include "workload/federated.hpp"
 
 namespace lrgp {
@@ -460,6 +461,43 @@ TEST(ShardedEngine, WarmStartSeedsPricesAcrossShards) {
     bad.node.resize(spec.nodeCount() + 1);
     bad.link.resize(spec.linkCount());
     EXPECT_THROW(engine.warmStart(bad), std::invalid_argument);
+}
+
+TEST(ShardedEngine, RunsAProblemAtItsRateMinFloor) {
+    // A ring of four nodes, each carrying four flows at F * rate_min = 3
+    // and sized to exactly that floor of 12, plus two flows that reach n0
+    // and n1 at F = 0.  ProblemBuilder accepts it, and so does the K=4
+    // split, although the zero-F shards' slices leave the others just
+    // under their floors.  The only feasible point (ring flows at r_min,
+    // no consumer admitted) fills every ring node to 100%.
+    model::ProblemBuilder b;
+    const model::NodeId source = b.addNode("src", 1e6);
+    std::vector<model::NodeId> ring;
+    for (const char* name : {"n0", "n1", "n2", "n3"}) ring.push_back(b.addNode(name, 12.0));
+    const auto add_class = [&](const std::string& name, model::FlowId f, model::NodeId n) {
+        b.addClass(name, f, n, 5, 1.0, std::make_shared<utility::LogUtility>(10.0));
+    };
+    for (std::size_t k = 0; k < 8; ++k) {
+        const model::FlowId f = b.addFlow("f" + std::to_string(k), source, 2.0, 10.0);
+        for (const model::NodeId n : {ring[k % 4], ring[(k + 1) % 4]}) {
+            b.routeThroughNode(f, n, 1.5);
+            add_class("c" + std::to_string(k) + "_" + std::to_string(n.value), f, n);
+        }
+    }
+    for (std::size_t k = 0; k < 2; ++k) {
+        const model::FlowId f = b.addFlow("z" + std::to_string(k), source, 2.0, 10.0);
+        b.routeThroughNode(f, ring[k], 0.0);
+        add_class("z" + std::to_string(k), f, ring[k]);
+    }
+    const model::ProblemSpec spec = b.build();
+
+    auto engine = shard::make_engine("sharded", spec, {}, 1, 4);
+    engine->run(50);
+    const model::Allocation& alloc = engine->allocation();
+    EXPECT_TRUE(model::check_feasibility(spec, alloc).feasible());
+    for (const model::NodeId n : ring) EXPECT_EQ(model::node_usage(spec, alloc, n), 12.0);
+    for (std::size_t k = 0; k < 8; ++k) EXPECT_EQ(alloc.rates[k], 2.0) << "f" << k;
+    for (const int n : alloc.populations) EXPECT_EQ(n, 0);
 }
 
 TEST(ShardedEngine, ValidatesConfigAndArguments) {
