@@ -85,8 +85,8 @@ int main() {
     root["machine"] = bench::machine_json();
 
     // ---------------------------------------------------- fidelity
-    // The bench_dataplane headroom workload: the optimum leaves
-    // queueing headroom, so both plants must deliver the plan.
+    // The headroom workload of the dataplane matrix test: the optimum
+    // leaves queueing headroom, so both plants must deliver the plan.
     workload::WorkloadOptions fidelity_options;
     fidelity_options.rate_max = 60.0;
     fidelity_options.node_capacity = 3.0e7;

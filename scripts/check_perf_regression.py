@@ -11,24 +11,6 @@ file carries a "bench" tag that selects its metric set:
                                      loop speedups, optimality gap,
                                      K=1 bitwise parity, shard-count
                                      wall-clock monotonicity
-  bench_async    (BENCH_async.json)  live async runtime: every fault
-                                     scenario reconverged, byte-identical
-                                     deterministic reruns, zero
-                                     deadlocks, virtual-time TTR bands
-  bench_scenarios (BENCH_scenarios.json)
-                                     production scenario matrix: every
-                                     catalog cell within 5% of best-known,
-                                     byte-identical reruns, cross-engine
-                                     bitwise parity, sharded K=4 gap <= 1%,
-                                     the overdrive-vs-headroom dataplane
-                                     contract, per-cell utility-vs-best and
-                                     recovery TTR bands
-  bench_dataplane (BENCH_dataplane.json)
-                                     event dataplane closed loop: recovery
-                                     consistency flag, per-(scenario, seed)
-                                     planned-vs-achieved utility gap,
-                                     drop-rate and virtual-time latency
-                                     bands vs the baseline
   bench_fastpath (BENCH_fastpath.json)
                                      batched fastpath vs the event oracle:
                                      byte-identical stats across worker
@@ -211,178 +193,8 @@ def check_shards(guard, baseline, fresh):
                         f"{now:.2f} ms vs baseline {base:.2f} (limit {limit:.2f})")
 
 
-def check_async(guard, baseline, fresh):
-    # Acceptance flags certified by the fresh run itself.  These are
-    # virtual-time results, so they are hardware-independent and always
-    # enforced.
-    if fresh.get("all_reconverged") is not True:
-        guard.fail("all_reconverged",
-                   "some fault scenario failed to reconverge to within 1% of its "
-                   "pre-fault steady state")
-    if fresh.get("deterministic") is not True:
-        guard.fail("deterministic",
-                   "deterministic-mode reruns were not byte-identical (digest logs "
-                   "or utility traces diverged)")
-    if fresh.get("deadlocks") != 0:
-        guard.fail("deadlocks", f"{fresh.get('deadlocks')} deadlock(s) reported")
-
-    # Per-scenario time-to-reconverge, in virtual seconds: a ratio of
-    # virtual clocks, not wall clocks, so the 25% band holds on any
-    # machine.  A scenario whose baseline TTR is 0 (never left the 1%
-    # band) must stay at 0.
-    base_rows = {row.get("name"): row for row in baseline.get("scenarios", [])}
-    for row in fresh.get("scenarios", []):
-        name = row.get("name")
-        metric = f"scenarios[{name}].time_to_reconverge_seconds"
-        base_row = base_rows.get(name)
-        if base_row is None:
-            guard.skip(metric, "baseline")
-            continue
-        base = base_row.get("result", {}).get("time_to_reconverge_seconds")
-        now = row.get("result", {}).get("time_to_reconverge_seconds")
-        if base is None or now is None:
-            guard.skip(metric, "baseline" if base is None else "fresh")
-            continue
-        if now < 0:
-            guard.fail(metric, "scenario never reconverged")
-            continue
-        # Half a sample period of slack absorbs quantization when the
-        # baseline sits at or near zero.
-        limit = base * (1.0 + REGRESSION_LIMIT) + 0.5 * fresh.get("sample_period", 0.05)
-        guard.check("relative", metric, now <= limit,
-                    f"{now:.2f}s vs baseline {base:.2f}s (limit {limit:.2f}s)")
-
-
-SCENARIO_MAX_SHARDED_GAP = 0.01  # sharded K=4 vs best-known utility
-SCENARIO_MIN_ASYNC_VS_BEST = 0.90  # async churn replay vs best-known
-
-
-def check_scenarios(guard, baseline, fresh):
-    # Acceptance flags certified by the fresh run itself.  Everything in
-    # this bench is a deterministic replay (virtual ticks, seeded traffic,
-    # seeded dataplane), so all checks are hardware-independent and always
-    # enforced.
-    if fresh.get("deterministic") is not True:
-        guard.fail("deterministic",
-                   "pinned-cell reruns were not byte-identical (problem JSON, "
-                   "manifest or utility trace diverged)")
-    if fresh.get("all_cells_within_5pct_of_best") is not True:
-        guard.fail("all_cells_within_5pct_of_best",
-                   "some catalog cell finished below 95% of its best-known utility")
-
-    differential = fresh.get("differential", {})
-    if differential.get("bitwise_serial_compiled_incremental_sharded1") is not True:
-        guard.fail("differential.bitwise",
-                   "serial/compiled/incremental/sharded-K1 final allocations diverged")
-    gap = differential.get("sharded4_gap_fraction")
-    if gap is None:
-        guard.fail("differential.sharded4_gap_fraction", "missing from fresh results")
-    else:
-        guard.check("relative", "differential.sharded4_gap_fraction",
-                    abs(gap) <= SCENARIO_MAX_SHARDED_GAP,
-                    f"{gap:.4%} gap vs limit {SCENARIO_MAX_SHARDED_GAP:.0%}")
-    async_vs_best = differential.get("async_utility_vs_best")
-    if async_vs_best is None:
-        guard.fail("differential.async_utility_vs_best", "missing from fresh results")
-    else:
-        guard.check("relative", "differential.async_utility_vs_best",
-                    async_vs_best >= SCENARIO_MIN_ASYNC_VS_BEST,
-                    f"{async_vs_best:.4f} vs floor {SCENARIO_MIN_ASYNC_VS_BEST:.2f}")
-
-    # The PR 4 overdrive regression: only meaningful when the dataplane
-    # ran (LRGP_SCENARIO_DATAPLANE=0 smoke runs skip it).
-    if fresh.get("with_dataplane"):
-        if fresh.get("overdrive_contract", {}).get("holds") is not True:
-            guard.fail("overdrive_contract.holds",
-                       "overdriven plant no longer sheds >= 20% while the headroom "
-                       "twin delivers within 2%")
-
-    # Per-cell utility-vs-best and recovery TTR bands against the
-    # committed baseline (both are ratios/virtual clocks — machine-free).
-    base_cells = {row.get("name"): row for row in baseline.get("scenarios", [])}
-    for row in fresh.get("scenarios", []):
-        name = row.get("name")
-        base_row = base_cells.get(name)
-        if base_row is None:
-            guard.skip(f"scenarios[{name}]", "baseline")
-            continue
-        metric = f"scenarios[{name}].utility_vs_best"
-        base, now = base_row.get("utility_vs_best"), row.get("utility_vs_best")
-        if base is None or now is None:
-            guard.skip(metric, "baseline" if base is None else "fresh")
-        else:
-            floor = base / (1.0 + REGRESSION_LIMIT)
-            guard.check("relative", metric, now >= floor,
-                        f"{now:.4f} vs baseline {base:.4f} (floor {floor:.4f})")
-        base_ttr = base_row.get("recovery", {}).get("time_to_reconverge_seconds")
-        now_ttr = row.get("recovery", {}).get("time_to_reconverge_seconds")
-        if base_ttr is None or now_ttr is None:
-            continue  # static cell: no recovery analysis on either side
-        metric = f"scenarios[{name}].time_to_reconverge_seconds"
-        if now_ttr < 0:
-            guard.fail(metric, "cell never reconverged")
-            continue
-        if base_ttr < 0:
-            guard.skip(metric, "baseline (never reconverged)")
-            continue
-        # Half a replay tick of slack absorbs sample quantization.
-        limit = base_ttr * (1.0 + REGRESSION_LIMIT) + 0.025
-        guard.check("relative", metric, now_ttr <= limit,
-                    f"{now_ttr:.2f}s vs baseline {base_ttr:.2f}s (limit {limit:.2f}s)")
-
-
-DATAPLANE_GAP_SLACK = 0.01   # tolerated widening of |utility_gap_fraction|
-DATAPLANE_DROP_SLACK = 0.01  # tolerated drop-rate increase vs baseline
-
-
-def check_dataplane(guard, baseline, fresh):
-    # The closed loop is a deterministic replay (seeded traffic, virtual
-    # clocks), so every check here is hardware-independent.
-    if fresh.get("all_consistent") is not True:
-        guard.fail("all_consistent",
-                   "measured and allocation-level recovery disagree in some run")
-
-    base_cells = {}
-    for scenario in baseline.get("scenarios", []):
-        for seed_row in scenario.get("seeds", []):
-            base_cells[(scenario.get("name"), seed_row.get("seed"))] = seed_row
-    for scenario in fresh.get("scenarios", []):
-        name = scenario.get("name")
-        for row in scenario.get("seeds", []):
-            seed = row.get("seed")
-            cell = f"scenarios[{name}][seed={seed}]"
-            base_row = base_cells.get((name, seed))
-            if base_row is None:
-                guard.skip(cell, "baseline")
-                continue
-            base_gap = base_row.get("utility_gap_fraction")
-            now_gap = row.get("utility_gap_fraction")
-            if base_gap is not None and now_gap is not None:
-                limit = abs(base_gap) + DATAPLANE_GAP_SLACK
-                guard.check("relative", f"{cell}.utility_gap_fraction",
-                            abs(now_gap) <= limit,
-                            f"|{now_gap:.4f}| vs baseline |{base_gap:.4f}| "
-                            f"(limit {limit:.4f})")
-            base_drop = base_row.get("drop_rate")
-            now_drop = row.get("drop_rate")
-            if base_drop is not None and now_drop is not None:
-                limit = base_drop + DATAPLANE_DROP_SLACK
-                guard.check("relative", f"{cell}.drop_rate", now_drop <= limit,
-                            f"{now_drop:.4f} vs baseline {base_drop:.4f} "
-                            f"(limit {limit:.4f})")
-            base_p99 = base_row.get("latency_p99_seconds")
-            now_p99 = row.get("latency_p99_seconds")
-            if base_p99 is not None and now_p99 is not None:
-                # Virtual-time latency: deterministic, but quantized by
-                # the histogram buckets — allow the standard band.
-                limit = base_p99 * (1.0 + REGRESSION_LIMIT)
-                guard.check("relative", f"{cell}.latency_p99_seconds",
-                            now_p99 <= limit,
-                            f"{now_p99:.4f}s vs baseline {base_p99:.4f}s "
-                            f"(limit {limit:.4f}s)")
-
-
 FASTPATH_MAX_UTILITY_GAP = 0.02  # fidelity: fastpath vs event-sim oracle
+FASTPATH_DROP_SLACK = 0.01  # tolerated fastpath drop rate above the event sim's
 FASTPATH_SPEEDUP_FLOORS = {"speedup_1": 5.0, "speedup_8": 20.0}
 
 
@@ -403,9 +215,9 @@ def check_fastpath(guard, baseline, fresh):
     fast_drop = lookup(fresh, "fidelity.fast_drop_rate")
     if sim_drop is not None and fast_drop is not None:
         guard.check("relative", "fidelity.fast_drop_rate",
-                    fast_drop <= sim_drop + DATAPLANE_DROP_SLACK,
+                    fast_drop <= sim_drop + FASTPATH_DROP_SLACK,
                     f"{fast_drop:.4f} vs sim {sim_drop:.4f} "
-                    f"(slack {DATAPLANE_DROP_SLACK})")
+                    f"(slack {FASTPATH_DROP_SLACK})")
 
     # Same-machine msgs/sec ratios: hard floors plus the 25% band.
     for metric, floor in FASTPATH_SPEEDUP_FLOORS.items():
@@ -447,12 +259,6 @@ def check_pair(guard, baseline_path, fresh_path):
         return
     if kind == "bench_shards":
         check_shards(guard, baseline, fresh)
-    elif kind == "bench_async":
-        check_async(guard, baseline, fresh)
-    elif kind == "bench_scenarios":
-        check_scenarios(guard, baseline, fresh)
-    elif kind == "bench_dataplane":
-        check_dataplane(guard, baseline, fresh)
     elif kind == "bench_fastpath":
         check_fastpath(guard, baseline, fresh)
     else:

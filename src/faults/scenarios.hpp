@@ -1,6 +1,7 @@
-// The shipped chaos scenarios — one catalog shared by the chaos test
-// suite and bench/bench_chaos so "every shipped scenario reconverges"
-// is a single, enforced definition.
+// The shipped chaos scenarios — one catalog shared by the DistLrgp chaos
+// suite (ChaosRecovery.EveryShippedScenarioReconvergesWithinOnePercent)
+// and the async runtime suite (AsyncChaos.*), so "every shipped scenario
+// reconverges" is a single, enforced definition.
 //
 // Each scenario perturbs the system inside [fault_start, fault_end] and
 // is expected to heal afterwards: the hardened asynchronous protocol

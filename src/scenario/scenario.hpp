@@ -112,8 +112,8 @@ struct ScenarioSpec {
 /// unknown family names or inconsistent sizing.
 [[nodiscard]] ScenarioSpec build_scenario(const ScenarioOptions& options);
 
-/// The pinned (topology x traffic x utility) catalog BENCH_scenarios and
-/// `ctest -L scenario` run against; >= 12 cells, each with a fixed seed.
+/// The pinned (topology x traffic x utility) catalog `ctest -L scenario`
+/// runs against; >= 12 cells, each with a fixed seed.
 [[nodiscard]] const std::vector<ScenarioOptions>& scenario_catalog();
 
 /// Looks a catalog cell up by name; throws std::invalid_argument with

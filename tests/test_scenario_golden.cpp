@@ -55,7 +55,8 @@ void check_golden(const std::string& name, const std::string& actual) {
 }
 
 // The pinned cells: the static differential cell and the dynamic churn
-// cell — the same pair BENCH_scenarios' determinism check reruns.
+// cell — the same pair ScenarioOverdrive.DataplaneRunIsDeterministic
+// rebuilds and replays twice.
 constexpr const char* kStaticCell = "fat_tree_heavy_tail_shifted_log";
 constexpr const char* kChurnCell = "small_world_churn_sigmoid";
 
