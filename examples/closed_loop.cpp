@@ -4,22 +4,27 @@
 // A centralized LRGP optimizer re-plans every 50 ms of simulated time;
 // each plan is offered to an EnactmentController, and whatever it
 // enacts drives token-bucket traffic sources, queueing servers and
-// consumer sinks.  At t=10s the busiest node loses 60% of its capacity
-// (and the optimizer is told about it); at t=14s the capacity comes
-// back.  The run prints the *planned* utility (what the optimizer
-// believes it allocated) next to the *achieved* utility (what the
-// simulated traffic actually delivered) so the dip and the recovery are
-// visible in measured message rates, not just in the allocation trace.
+// consumer sinks.  The fault is a schedule of two dynamic ops: at t=10s
+// the busiest node drops to 5% of its capacity, and at t=14s it comes
+// back.  scenario::replay applies each op to the optimizer and mirrors
+// it into the dataplane, so the node really slows down and the
+// optimizer re-plans around it.  The run prints the *planned* utility
+// (what the optimizer believes it allocated) next to the *achieved*
+// utility (what the simulated traffic actually delivered) so the dip
+// and the recovery are visible in measured message rates, not just in
+// the allocation trace.
 //
 // Build and run:
 //   cmake --build build --target closed_loop && build/examples/closed_loop
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <vector>
 
-#include "dataplane/closed_loop.hpp"
 #include "dataplane/dataplane.hpp"
+#include "lrgp/enactment.hpp"
 #include "lrgp/optimizer.hpp"
-#include "model/analysis.hpp"
+#include "scenario/runner.hpp"
 #include "workload/workloads.hpp"
 
 using namespace lrgp;
@@ -35,11 +40,11 @@ int main() {
     std::printf("workload: %zu flows, %zu classes, %zu nodes\n", spec.flowCount(),
                 spec.classCount(), spec.nodeCount());
 
-    core::LrgpOptimizer optimizer{model::ProblemSpec(spec)};
-    dataplane::Dataplane dataplane(spec, dataplane::DataplaneOptions{});
-
+    constexpr double kTick = 0.05;
+    constexpr double kDuration = 24.0;
     constexpr double kFaultStart = 10.0;
     constexpr double kFaultEnd = 14.0;
+    constexpr double kReportPeriod = 2.0;
     // Fail the node carrying the most consumer classes — the producer
     // node hosts none, so degrading it would change nothing.
     model::NodeId victim{0};
@@ -50,59 +55,45 @@ int main() {
         }
     }
     const double full_capacity = spec.node(victim).capacity;
-    const double degraded_capacity = 0.05 * full_capacity;
+    const std::vector<scenario::DynamicOp> fault = {
+        {kFaultStart, scenario::OpKind::kSetNodeCapacity, victim.value, 0.05 * full_capacity},
+        {kFaultEnd, scenario::OpKind::kSetNodeCapacity, victim.value, full_capacity},
+    };
+    std::printf("fault: node %s capacity cut to 5%% at t=%.1f, restored at t=%.1f\n",
+                spec.node(victim).name.c_str(), kFaultStart, kFaultEnd);
 
-    dataplane::ClosedLoopOptions options;
-    options.duration = 24.0;
-    options.enactment.rate_deadband = 0.02;
-    options.enactment.population_deadband = 2;
-    options.enactment.min_interval = 1.0;
+    core::LrgpOptimizer optimizer{model::ProblemSpec(spec)};
+    dataplane::Dataplane dataplane(spec, dataplane::DataplaneOptions{});
+    core::EnactmentOptions eopts;
+    eopts.rate_deadband = 0.02;
+    eopts.population_deadband = 2;
+    eopts.min_interval = 1.0;
+    core::EnactmentController enactor(
+        eopts, [&dataplane](const model::Allocation& alloc) { dataplane.enact(alloc); });
+    const scenario::ReplayPlant plant{dataplane, enactor};
+    scenario::replay(optimizer, fault, kTick, static_cast<int>(std::lround(kDuration / kTick)),
+                     &plant);
 
-    bool fault_applied = false;
-    bool fault_cleared = false;
-    double next_report = 2.0;
-    const auto result = dataplane::run_closed_loop(
-        optimizer, dataplane, options,
-        [&](double now, core::LrgpOptimizer& opt, dataplane::Dataplane& dp) {
-            if (!fault_applied && now >= kFaultStart) {
-                // The fault hits the dataplane AND the control loop:
-                // the node really slows down, and the optimizer re-plans
-                // around the reduced capacity.
-                dp.setNodeCapacity(victim, degraded_capacity);
-                opt.setNodeCapacity(victim, degraded_capacity);
-                fault_applied = true;
-                std::printf("t=%5.1f  node %s capacity cut to 5%%\n", now,
-                            spec.node(victim).name.c_str());
-            }
-            if (!fault_cleared && now >= kFaultEnd) {
-                dp.setNodeCapacity(victim, full_capacity);
-                opt.setNodeCapacity(victim, full_capacity);
-                fault_cleared = true;
-                std::printf("t=%5.1f  node %s capacity restored\n", now,
-                            spec.node(victim).name.c_str());
-            }
-            if (now >= next_report) {
-                const auto& achieved = dp.achievedUtilityTrace();
-                const auto& planned = dp.plannedUtilityTrace();
-                if (!achieved.empty()) {
-                    std::printf("t=%5.1f  planned %12.0f  achieved %12.0f\n", now,
-                                planned.back(), achieved.back());
-                }
-                next_report += 2.0;
-            }
-        });
+    // Both traces hold one sample per sample period, the first at
+    // t = sample period.
+    const auto& planned = dataplane.plannedUtilityTrace();
+    const auto& achieved = dataplane.achievedUtilityTrace();
+    const double period = dataplane.samplePeriod();
+    const auto stride = static_cast<std::size_t>(std::lround(kReportPeriod / period));
+    for (std::size_t k = stride - 1; k < achieved.size(); k += stride) {
+        std::printf("t=%5.1f  planned %12.0f  achieved %12.0f\n",
+                    static_cast<double>(k + 1) * period, planned[k], achieved[k]);
+    }
 
     const auto stats = dataplane.collectStats();
-    std::printf("\n%zu iterations, %zu/%zu offers enacted\n", result.iterations,
-                result.enactments, result.offers);
+    std::printf("\n%d iterations, %zu/%zu offers enacted\n", optimizer.iterationsRun(),
+                enactor.enactments(), enactor.offers());
     std::printf("traffic: %llu emitted, %llu delivered, drop rate %.4f, p99 latency %.4fs\n",
                 static_cast<unsigned long long>(stats.total_emitted),
                 static_cast<unsigned long long>(stats.total_delivered), stats.drop_rate,
                 stats.latency.p99);
-    const std::size_t window =
-        std::min<std::size_t>(10, dataplane.achievedUtilityTrace().size());
-    std::printf("settled: planned %.0f, achieved %.0f\n",
-                dataplane.plannedUtilityTrace().trailingMean(window),
-                dataplane.achievedUtilityTrace().trailingMean(window));
+    const std::size_t window = std::min<std::size_t>(10, achieved.size());
+    std::printf("settled: planned %.0f, achieved %.0f\n", planned.trailingMean(window),
+                achieved.trailingMean(window));
     return 0;
 }

@@ -1,35 +1,6 @@
 #include "dataplane/closed_loop.hpp"
 
-#include <stdexcept>
-
 namespace lrgp::dataplane {
-
-ClosedLoopResult run_closed_loop(
-    core::LrgpOptimizer& optimizer, Dataplane& dataplane, const ClosedLoopOptions& options,
-    const std::function<void(double, core::LrgpOptimizer&, Dataplane&)>& on_tick) {
-    if (!(options.iteration_period > 0.0))
-        throw std::invalid_argument("run_closed_loop: iteration_period must be > 0");
-    if (!(options.duration >= 0.0))
-        throw std::invalid_argument("run_closed_loop: duration must be >= 0");
-
-    core::EnactmentController enactor(
-        options.enactment,
-        [&dataplane](const model::Allocation& allocation) { dataplane.enact(allocation); });
-
-    ClosedLoopResult result;
-    for (double t = 0.0; t <= options.duration; t += options.iteration_period) {
-        const core::IterationRecord record = optimizer.step();
-        ++result.iterations;
-        dataplane.notePlanned(record.allocation);
-        enactor.offer(t, record.allocation);
-        dataplane.runUntil(t);
-        if (on_tick) on_tick(t, optimizer, dataplane);
-    }
-    dataplane.runUntil(options.duration);
-    result.offers = enactor.offers();
-    result.enactments = enactor.enactments();
-    return result;
-}
 
 DistCoupling::DistCoupling(dist::DistLrgp& engine, Dataplane& dataplane,
                            core::EnactmentOptions options)

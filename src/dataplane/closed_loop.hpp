@@ -1,57 +1,28 @@
-// Closed-loop wiring: optimizer iterations -> enactment policy ->
-// dataplane traffic, with the dataplane's clock advanced in lockstep so
-// workload churn and fault scenarios show up as *measured* utility dips
-// rather than just allocation-trace dips.
+// Closed-loop wiring for the distributed engine: DistLrgp's allocation
+// samples -> enactment policy -> dataplane traffic, with the dataplane's
+// clock advanced in lockstep, so fault scenarios show up as *measured*
+// utility dips rather than just allocation-trace dips.
 //
-// Two couplings are provided:
-//   * run_closed_loop(): drives a (centralized) LrgpOptimizer at a fixed
-//     iteration cadence against a Dataplane, offering every iterate to
-//     an EnactmentController whose enact callback is Dataplane::enact.
-//   * DistCoupling: taps DistLrgp's sample callback, so the dataplane
-//     follows whatever allocation the distributed protocol has actually
-//     converged to — including the degraded allocations it holds while
-//     a FaultPlan scenario is active.
+// The synchronous engines close the same loop through
+// scenario::replay (scenario/runner.hpp), which also applies a schedule
+// of dynamic ops and mirrors it into the dataplane.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 #include "dataplane/dataplane.hpp"
 #include "dist/dist_lrgp.hpp"
 #include "lrgp/enactment.hpp"
-#include "lrgp/optimizer.hpp"
 
 namespace lrgp::dataplane {
-
-struct ClosedLoopOptions {
-    /// Simulated seconds attributed to one optimizer iteration.
-    double iteration_period = 0.05;
-    /// Total simulated duration to run.
-    double duration = 20.0;
-    /// Hysteresis policy between the optimizer and the dataplane.
-    core::EnactmentOptions enactment{};
-};
-
-struct ClosedLoopResult {
-    std::size_t iterations = 0;
-    std::size_t offers = 0;
-    std::size_t enactments = 0;
-};
-
-/// Steps `optimizer` every iteration_period of dataplane time, records
-/// each iterate as the planned allocation, offers it to the enactment
-/// policy, and advances the dataplane between iterations.  `on_tick`
-/// (may be null) runs after each iteration — the hook point for
-/// mid-run churn such as spec changes or fault injection.
-ClosedLoopResult run_closed_loop(
-    core::LrgpOptimizer& optimizer, Dataplane& dataplane, const ClosedLoopOptions& options,
-    const std::function<void(double, core::LrgpOptimizer&, Dataplane&)>& on_tick = nullptr);
 
 /// Couples a DistLrgp engine to a Dataplane for the engine's lifetime:
 /// every allocation sample the protocol takes is offered to the
 /// enactment policy and the dataplane clock is advanced to the
-/// protocol's clock.  Construct before DistLrgp::runFor; keep alive
-/// while the engine runs.
+/// protocol's clock.  The dataplane therefore follows whatever
+/// allocation the protocol has actually converged to, including the
+/// degraded allocations it holds while a FaultPlan scenario is active.
+/// Construct before DistLrgp::runFor; keep alive while the engine runs.
 class DistCoupling {
 public:
     /// Installs itself as `engine`'s sample callback (replacing any

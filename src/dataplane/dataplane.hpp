@@ -47,8 +47,8 @@ struct DataplaneOptions {
     double sample_period = 0.5;       ///< achieved-utility sampling (seconds)
 };
 
-/// The traffic engine.  Owns its own Simulator; a coupling layer (see
-/// closed_loop.hpp) advances it in lockstep with an optimizer.
+/// The traffic engine.  Owns its own Simulator; scenario::replay or a
+/// DistCoupling (closed_loop.hpp) advances it in lockstep with an engine.
 class Dataplane {
 public:
     /// `spec` must outlive the Dataplane.  Sources start at rate zero —

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "baseline/annealing.hpp"
@@ -9,6 +11,7 @@
 #include "io/problem_json.hpp"
 #include "lrgp/optimizer.hpp"
 #include "multirate/multirate.hpp"
+#include "scenario/runner.hpp"
 #include "workload/random_workload.hpp"
 #include "workload/workloads.hpp"
 
@@ -28,50 +31,49 @@ int intAt(const io::JsonValue& obj, const std::string& key, int fallback) {
     return obj.has(key) ? obj.at(key).asInt() : fallback;
 }
 
-/// One scheduled workload change.
-struct Event {
-    int at = 0;  ///< applied before this 1-based iteration
-    enum class Action { kRemoveFlow, kRestoreFlow, kSetNodeCapacity, kSetClassMax } action;
-    std::string target;
-    double value = 0.0;
-};
+/// Id of the entity called `name` among `entities` (flows, nodes or
+/// classes); throws std::invalid_argument when none is.
+template <typename Entities>
+std::uint32_t idByName(const Entities& entities, const std::string& name, const char* what) {
+    for (const auto& entity : entities)
+        if (entity.name == name) return entity.id.value;
+    throw std::invalid_argument(std::string("experiment: no ") + what + " named '" + name + "'");
+}
 
-std::vector<Event> parseEvents(const io::JsonValue& config) {
-    std::vector<Event> events;
-    if (!config.has("events")) return events;
+/// Reads `events` into a schedule sorted by `at` (equal times keep file
+/// order), each name resolved against the built workload `spec`.
+std::vector<scenario::DynamicOp> scheduleFromConfig(const io::JsonValue& config,
+                                                    const model::ProblemSpec& spec) {
+    using enum scenario::OpKind;
+    std::vector<scenario::DynamicOp> schedule;
+    if (!config.has("events")) return schedule;
     for (const io::JsonValue& e : config.at("events").asArray()) {
-        Event event;
-        event.at = e.at("at").asInt();
-        if (event.at < 1) throw std::runtime_error("experiment: event 'at' must be >= 1");
+        scenario::DynamicOp op;
+        const int at = e.at("at").asInt();
+        if (at < 1) throw std::runtime_error("experiment: event 'at' must be >= 1");
+        op.time = at;
         const std::string& action = e.at("action").asString();
-        if (action == "remove_flow") {
-            event.action = Event::Action::kRemoveFlow;
-            event.target = e.at("flow").asString();
-        } else if (action == "restore_flow") {
-            event.action = Event::Action::kRestoreFlow;
-            event.target = e.at("flow").asString();
+        if (action == "remove_flow" || action == "restore_flow") {
+            op.kind = action == "remove_flow" ? kRemoveFlow : kRestoreFlow;
+            op.target = idByName(spec.flows(), e.at("flow").asString(), "flow");
         } else if (action == "set_node_capacity") {
-            event.action = Event::Action::kSetNodeCapacity;
-            event.target = e.at("node").asString();
-            event.value = e.at("capacity").asNumber();
+            op.kind = kSetNodeCapacity;
+            op.value = e.at("capacity").asNumber();
+            op.target = idByName(spec.nodes(), e.at("node").asString(), "node");
         } else if (action == "set_class_max") {
-            event.action = Event::Action::kSetClassMax;
-            event.target = e.at("class").asString();
-            event.value = e.at("max").asInt();
+            op.kind = kSetClassMaxConsumers;
+            op.value = e.at("max").asInt();
+            op.target = idByName(spec.classes(), e.at("class").asString(), "class");
         } else {
             throw std::runtime_error("experiment: unknown event action '" + action + "'");
         }
-        events.push_back(std::move(event));
+        schedule.push_back(op);
     }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Event& a, const Event& b) { return a.at < b.at; });
-    return events;
-}
-
-model::ClassId classByName(const model::ProblemSpec& spec, const std::string& name) {
-    for (const model::ClassSpec& c : spec.classes())
-        if (c.name == name) return c.id;
-    throw std::invalid_argument("experiment: no class named '" + name + "'");
+    std::stable_sort(schedule.begin(), schedule.end(),
+                     [](const scenario::DynamicOp& a, const scenario::DynamicOp& b) {
+                         return a.time < b.time;
+                     });
+    return schedule;
 }
 
 core::LrgpOptions lrgpOptions(const io::JsonValue& optimizer_config) {
@@ -85,14 +87,16 @@ core::LrgpOptions lrgpOptions(const io::JsonValue& optimizer_config) {
             options.gamma = core::FixedGamma{gamma.asNumber(), gamma.asNumber()};
         }
     }
-    if (optimizer_config.has("link_gamma"))
+    if (optimizer_config.has("link_gamma")) {
         options.link_gamma = optimizer_config.at("link_gamma").asNumber();
+        // A workload without links never hands it to a LinkPriceController.
+        if (!(options.link_gamma >= 0.0 && std::isfinite(options.link_gamma)))
+            throw std::runtime_error("experiment: link_gamma must be finite and >= 0");
+    }
     return options;
 }
 
-}  // namespace
-
-model::ProblemSpec workload_from_config(const io::JsonValue& workload_config) {
+model::ProblemSpec workloadFromConfig(const io::JsonValue& workload_config) {
     const std::string& kind = workload_config.at("kind").asString();
     const workload::UtilityShape shape =
         workload_config.has("shape") ? shapeFromString(workload_config.at("shape").asString())
@@ -108,12 +112,16 @@ model::ProblemSpec workload_from_config(const io::JsonValue& workload_config) {
     if (kind == "random") {
         workload::RandomWorkloadOptions options;
         options.shape = shape;
-        options.seed = static_cast<std::uint32_t>(intAt(workload_config, "seed", 1));
+        const int seed = intAt(workload_config, "seed", 1);
+        if (seed < 0) throw std::runtime_error("experiment: seed must be >= 0");
+        options.seed = static_cast<std::uint32_t>(seed);
         return workload::make_random_workload(options);
     }
     if (kind == "inline") return io::problem_from_json(workload_config.at("problem"));
     throw std::runtime_error("experiment: unknown workload kind '" + kind + "'");
 }
+
+}  // namespace
 
 ExperimentResult run_experiment(const io::JsonValue& config) {
     const auto start_time = std::chrono::steady_clock::now();
@@ -121,38 +129,18 @@ ExperimentResult run_experiment(const io::JsonValue& config) {
     ExperimentResult result;
     result.name = config.has("name") ? config.at("name").asString() : "unnamed";
 
-    model::ProblemSpec spec = workload_from_config(config.at("workload"));
+    model::ProblemSpec spec = workloadFromConfig(config.at("workload"));
     const io::JsonValue& optimizer_config = config.at("optimizer");
     const std::string& kind = optimizer_config.at("kind").asString();
     const int iterations = intAt(optimizer_config, "iterations", 250);
-    std::vector<Event> events = parseEvents(config);
+    const std::vector<scenario::DynamicOp> events = scheduleFromConfig(config, spec);
 
     if (kind == "lrgp") {
         if (iterations < 1) throw std::runtime_error("experiment: iterations must be >= 1");
         core::LrgpOptimizer optimizer(spec, lrgpOptions(optimizer_config));
-        std::size_t next_event = 0;
-        for (int t = 1; t <= iterations; ++t) {
-            while (next_event < events.size() && events[next_event].at == t) {
-                const Event& e = events[next_event++];
-                switch (e.action) {
-                    case Event::Action::kRemoveFlow:
-                        optimizer.removeFlow(workload::find_flow(optimizer.problem(), e.target));
-                        break;
-                    case Event::Action::kRestoreFlow:
-                        optimizer.restoreFlow(workload::find_flow(optimizer.problem(), e.target));
-                        break;
-                    case Event::Action::kSetNodeCapacity:
-                        optimizer.setNodeCapacity(
-                            workload::find_node(optimizer.problem(), e.target), e.value);
-                        break;
-                    case Event::Action::kSetClassMax:
-                        optimizer.setClassMaxConsumers(classByName(optimizer.problem(), e.target),
-                                                       static_cast<int>(e.value));
-                        break;
-                }
-            }
-            optimizer.step();
-        }
+        // One tick per iteration: an event at `at` applies before
+        // iteration `at`.
+        scenario::replay(optimizer, events, 1.0, iterations);
         result.final_utility = optimizer.currentUtility();
         result.converged_at = optimizer.convergence().convergedAt();
         result.utility_trace = optimizer.utilityTrace();

@@ -17,9 +17,10 @@
 //                "capacity": 450000},
 //               {"at": 120, "action": "set_class_max",     "class": "r0_c0",
 //                "max": 800} ]
-//     // events apply before the given 1-based iteration; only the
-//     // iterative optimizers (lrgp, multirate*) support them
-//     // (*multirate supports capacity/class events, not flow removal)
+//     // events apply before the given 1-based iteration; only the lrgp
+//     // optimizer supports them.  They load as scenario::DynamicOps,
+//     // names resolved against the built workload, and replay through
+//     // scenario::replay with one tick per iteration.
 // }
 #pragma once
 
@@ -30,7 +31,6 @@
 #include "metrics/time_series.hpp"
 #include "model/allocation.hpp"
 #include "model/analysis.hpp"
-#include "model/problem.hpp"
 
 namespace lrgp::exp {
 
@@ -45,15 +45,14 @@ struct ExperimentResult {
 };
 
 /// Parses and runs one experiment.  Throws std::runtime_error on schema
-/// problems and std::invalid_argument on semantic ones (unknown names).
+/// problems and std::invalid_argument on semantic ones (unknown names,
+/// rejected when the document loads, even for events past the last
+/// iteration).
 [[nodiscard]] ExperimentResult run_experiment(const io::JsonValue& config);
 [[nodiscard]] ExperimentResult run_experiment_string(const std::string& config_text);
 
 /// Serializes a result (summary + trace) as JSON for downstream tooling.
 [[nodiscard]] io::JsonValue result_to_json(const ExperimentResult& result,
                                            bool include_trace = true);
-
-/// Builds just the workload part of a config (exposed for reuse/tests).
-[[nodiscard]] model::ProblemSpec workload_from_config(const io::JsonValue& workload_config);
 
 }  // namespace lrgp::exp

@@ -29,22 +29,6 @@ constexpr double kSettle = 6.0;
 constexpr std::uint64_t kDataplaneSeed = 1;
 constexpr double kDataplaneSettle = 8.0;
 
-void applyToEngine(core::Engine& engine, const DynamicOp& op) {
-    switch (op.kind) {
-        case OpKind::kSetClassMaxConsumers:
-            engine.setClassMaxConsumers(model::ClassId(op.target), static_cast<int>(op.value));
-            break;
-        case OpKind::kRemoveFlow: engine.removeFlow(model::FlowId(op.target)); break;
-        case OpKind::kRestoreFlow: engine.restoreFlow(model::FlowId(op.target)); break;
-        case OpKind::kSetNodeCapacity:
-            engine.setNodeCapacity(model::NodeId(op.target), op.value);
-            break;
-        case OpKind::kSetLinkCapacity:
-            engine.setLinkCapacity(model::LinkId(op.target), op.value);
-            break;
-    }
-}
-
 void mirrorToDataplane(dataplane::Dataplane& dp, const DynamicOp& op, double physical_scale) {
     switch (op.kind) {
         case OpKind::kSetClassMaxConsumers:
@@ -56,7 +40,7 @@ void mirrorToDataplane(dataplane::Dataplane& dp, const DynamicOp& op, double phy
             break;
         case OpKind::kSetLinkCapacity:
             throw std::invalid_argument(
-                "run_scenario: the dataplane cannot mirror set_link_capacity ops");
+                "replay: the dataplane cannot mirror set_link_capacity ops");
     }
 }
 
@@ -131,6 +115,41 @@ ScenarioRunReport runAsync(const ScenarioSpec& scenario, const RunnerOptions& op
 
 }  // namespace
 
+void apply_to_engine(core::Engine& engine, const DynamicOp& op) {
+    switch (op.kind) {
+        case OpKind::kSetClassMaxConsumers:
+            engine.setClassMaxConsumers(model::ClassId(op.target), static_cast<int>(op.value));
+            break;
+        case OpKind::kRemoveFlow: engine.removeFlow(model::FlowId(op.target)); break;
+        case OpKind::kRestoreFlow: engine.restoreFlow(model::FlowId(op.target)); break;
+        case OpKind::kSetNodeCapacity:
+            engine.setNodeCapacity(model::NodeId(op.target), op.value);
+            break;
+        case OpKind::kSetLinkCapacity:
+            engine.setLinkCapacity(model::LinkId(op.target), op.value);
+            break;
+    }
+}
+
+std::size_t replay(core::Engine& engine, const std::vector<DynamicOp>& schedule, double tick,
+                   int ticks, const ReplayPlant* plant) {
+    std::size_t next = 0;
+    for (int i = 1; i <= ticks; ++i) {
+        const double t = static_cast<double>(i) * tick;
+        for (; next < schedule.size() && schedule[next].time <= t; ++next) {
+            apply_to_engine(engine, schedule[next]);
+            if (plant) mirrorToDataplane(plant->dataplane, schedule[next], plant->capacity_scale);
+        }
+        const core::IterationRecord& record = engine.step();
+        if (plant) {
+            plant->dataplane.notePlanned(record.allocation);
+            plant->enactor.offer(t, record.allocation);
+            plant->dataplane.runUntil(t);
+        }
+    }
+    return next;
+}
+
 void export_observability(const ScenarioSpec& scenario, const ScenarioRunReport& report,
                           obs::Registry& registry) {
     const obs::ScenarioInstruments si = obs::ScenarioInstruments::resolve(registry);
@@ -168,6 +187,7 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
 
     std::optional<dataplane::Dataplane> dp;
     std::optional<core::EnactmentController> enactor;
+    std::optional<ReplayPlant> plant;
     if (options.with_dataplane) {
         dataplane::DataplaneOptions dopts;
         dopts.seed = kDataplaneSeed;
@@ -181,27 +201,14 @@ ScenarioRunReport run_scenario(const ScenarioSpec& scenario, const RunnerOptions
         eopts.population_deadband = 2;
         eopts.min_interval = 1.0;
         enactor.emplace(eopts, [&](const model::Allocation& alloc) { dp->enact(alloc); });
+        plant.emplace(*dp, *enactor, scenario.physical_capacity_scale);
     }
 
     const double total = scenario.options.duration + kSettle;
-    const int ticks = static_cast<int>(std::lround(total / kTick));
-    std::size_t next = 0;
-    for (int i = 1; i <= ticks; ++i) {
-        const double t = static_cast<double>(i) * kTick;
-        while (next < scenario.schedule.size() && scenario.schedule[next].time <= t) {
-            applyToEngine(*engine, scenario.schedule[next]);
-            if (dp) mirrorToDataplane(*dp, scenario.schedule[next], scenario.physical_capacity_scale);
-            ++report.ops_applied;
-            ++next;
-        }
-        const core::IterationRecord& record = engine->step();
-        report.utility_trace.append(record.utility);
-        if (dp) {
-            dp->notePlanned(record.allocation);
-            enactor->offer(t, record.allocation);
-            dp->runUntil(t);
-        }
-    }
+    report.ops_applied = replay(*engine, scenario.schedule, kTick,
+                                static_cast<int>(std::lround(total / kTick)),
+                                plant ? &*plant : nullptr);
+    report.utility_trace = engine->utilityTrace();
 
     // Multi-shard engines: the replay's many reconcile passes decay the
     // budget-exchange step towards zero, freezing whatever split the

@@ -1,6 +1,10 @@
 // Scenario runner: replays a ScenarioSpec's dynamic-op schedule against
 // any engine of the zoo and reports how well it tracked the workload.
 //
+// replay() is the one loop that steps a synchronous engine through a
+// DynamicOp schedule, optionally closing the loop through an enactment
+// policy into a message-level dataplane.
+//
 // Engines ("serial" | "compiled" | "incremental" | "sharded") advance
 // one LRGP iteration per tick of scenario time; each DynamicOp applies
 // through the core::Engine interface just before the first tick at or
@@ -22,7 +26,9 @@
 // of the end-state problem (all ops applied statically).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "lrgp/engine.hpp"
 #include "metrics/recovery.hpp"
@@ -31,7 +37,40 @@
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 
+namespace lrgp::core {
+class EnactmentController;
+}
+namespace lrgp::dataplane {
+class Dataplane;
+}
+
 namespace lrgp::scenario {
+
+/// The plant side of a closed-loop replay.  Every iterate is noted as
+/// the dataplane's planned allocation and offered to `enactor`, whose
+/// callback enacts into `dataplane`.  Mirrored node-capacity ops are
+/// multiplied by `capacity_scale`, the physical capacity per unit of
+/// planned capacity (ScenarioSpec::physical_capacity_scale).
+struct ReplayPlant {
+    dataplane::Dataplane& dataplane;
+    core::EnactmentController& enactor;
+    double capacity_scale = 1.0;
+};
+
+/// Applies `op` through the core::Engine dynamic-op API.
+void apply_to_engine(core::Engine& engine, const DynamicOp& op);
+
+/// Replays `schedule` (sorted by time) against `engine` for `ticks`
+/// ticks of `tick` schedule-time units.  Tick i = 1..ticks runs at
+/// t = i * tick: it applies every op with time <= t not applied yet
+/// (mirrored into the plant's dataplane when `plant` is given), steps
+/// the engine, and with a plant offers the iterate to the enactor at t
+/// and advances the dataplane to t.  Ops due after the last tick stay
+/// unapplied.  Returns how many ops were applied.  Throws
+/// std::invalid_argument when a plant meets a link-capacity op, which
+/// the dataplane cannot mirror.
+std::size_t replay(core::Engine& engine, const std::vector<DynamicOp>& schedule, double tick,
+                   int ticks, const ReplayPlant* plant = nullptr);
 
 struct RunnerOptions {
     /// Any name shard::make_engine accepts (serial | compiled |

@@ -12,10 +12,12 @@
 #include "dataplane/token_bucket.hpp"
 #include "dist/dist_lrgp.hpp"
 #include "faults/scenarios.hpp"
+#include "lrgp/enactment.hpp"
 #include "lrgp/optimizer.hpp"
 #include "metrics/recovery.hpp"
 #include "model/allocation.hpp"
 #include "model/problem.hpp"
+#include "scenario/runner.hpp"
 #include "utility/utility_function.hpp"
 #include "workload/workloads.hpp"
 
@@ -263,17 +265,19 @@ TEST(ClosedLoop, OptimizerDrivenDataplaneConvergesToPlannedUtility) {
     const model::ProblemSpec spec = makeSmallSpec();
     core::LrgpOptimizer optimizer{model::ProblemSpec(spec)};
     dataplane::Dataplane dp(spec);
-    dataplane::ClosedLoopOptions options;
-    options.duration = 30.0;
-    options.enactment.rate_deadband = 0.05;
-    options.enactment.population_deadband = 0;
-    options.enactment.min_interval = 5.0;
-    const dataplane::ClosedLoopResult result =
-        dataplane::run_closed_loop(optimizer, dp, options);
+    core::EnactmentOptions options;
+    options.rate_deadband = 0.05;
+    options.population_deadband = 0;
+    options.min_interval = 5.0;
+    core::EnactmentController enactor(
+        options, [&dp](const model::Allocation& allocation) { dp.enact(allocation); });
+    const scenario::ReplayPlant plant{dp, enactor};
+    // 30 s of dataplane time, one optimizer iteration per 50 ms.
+    scenario::replay(optimizer, {}, 0.05, 600, &plant);
 
-    EXPECT_GT(result.iterations, 100u);
-    EXPECT_GE(result.enactments, 1u);
-    EXPECT_LE(result.enactments, result.offers);
+    EXPECT_GT(optimizer.iterationsRun(), 100);
+    EXPECT_GE(enactor.enactments(), 1u);
+    EXPECT_LE(enactor.enactments(), enactor.offers());
     const dataplane::DataplaneStats stats = dp.collectStats();
     ASSERT_GT(stats.utility.planned, 0.0);
     // Windows are coarse (0.5 s) so compare smoothed achieved utility
