@@ -419,7 +419,7 @@ TEST(Fastpath, StatsJsonByteIdenticalAcrossWorkerCounts) {
 
     std::string reference;
     bool attach = false;
-    for (const int workers : {1, 2, 4}) {
+    for (const int workers : {1, 2, 4, 8}) {
         fastpath::FastpathOptions options;
         options.workers = workers;
         options.arrivals = dataplane::ArrivalProcess::kPoisson;

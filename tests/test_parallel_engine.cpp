@@ -256,6 +256,19 @@ TEST(ParallelEngine, IncrementalSteadyWorkloadEngagesCaches) {
     // In the converged tail skips dominate: far more cache hits than work.
     EXPECT_GT(stats.node_cache_hits, stats.dirty_nodes);
     EXPECT_GT(stats.skipped_solves, stats.dirty_flows);
+
+    // Past the fixpoint every iteration is pure reuse, counted exactly:
+    // no rate solve, no admission, no link sum, and the cached Eq. 1 sum.
+    constexpr std::uint64_t kTail = 100;
+    run_lockstep(serial, incremental, static_cast<int>(kTail));
+    const core::IncrementalStats tail = incremental.incrementalStats();
+    EXPECT_EQ(tail.dirty_flows - stats.dirty_flows, 0u);
+    EXPECT_EQ(tail.skipped_solves - stats.skipped_solves, kTail * spec.flowCount());
+    EXPECT_EQ(tail.dirty_nodes - stats.dirty_nodes, 0u);
+    EXPECT_EQ(tail.node_cache_hits - stats.node_cache_hits, kTail * spec.nodeCount());
+    EXPECT_EQ(tail.rank_cache_hits - stats.rank_cache_hits, 0u);
+    EXPECT_EQ(tail.dirty_links - stats.dirty_links, 0u);
+    EXPECT_EQ(tail.utility_cache_hits - stats.utility_cache_hits, kTail);
 }
 
 TEST(ParallelEngine, IncrementalRankCacheReusedOnCapacityOnlyChange) {
