@@ -50,6 +50,10 @@ using namespace lrgp;
 
 namespace {
 
+/// --threads, --agents and --dataplane-workers each start one OS thread
+/// per unit; a larger value is rejected before anything is built.
+constexpr int kMaxThreads = 256;
+
 struct CliOptions {
     std::string workload = "base";  // base | random
     std::string engine = "serial";  // a shard::make_engine name, or async
@@ -100,9 +104,9 @@ void printUsage() {
         "                             async runs the live shard-agent runtime in\n"
         "                             deterministic virtual time (--agents/--seconds)\n"
         "  --threads N                engine worker threads\n"
-        "                             (default 1; 0 = hardware concurrency)\n"
+        "                             (default 1; 0 = hardware concurrency; max 256)\n"
         "  --shards K                 sharded engine shard count (default 4)\n"
-        "  --agents K                 async runtime agent threads (default 4)\n"
+        "  --agents K                 async runtime agent threads (default 4; max 256)\n"
         "  --seconds X                async runtime horizon in virtual seconds\n"
         "                             (default 12)\n"
         "  --shape log|p025|p05|p075  class utility shape (default log)\n"
@@ -129,8 +133,8 @@ void printUsage() {
         "                             simulator (default) or the batched\n"
         "                             run-to-completion fastpath (implies --enact)\n"
         "  --dataplane-workers N      fastpath worker threads (default 1;\n"
-        "                             0 = hardware concurrency); the result is\n"
-        "                             byte-identical for any N\n"
+        "                             0 = hardware concurrency; max 256); the\n"
+        "                             result is byte-identical for any N\n"
         "  --save FILE                write the workload as JSON, then optimize it\n"
         "  --load FILE                optimize a JSON workload (overrides --workload)\n"
         "  --classes                  print the per-class service table\n"
@@ -193,8 +197,8 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
             }
         } else if (arg == "--agents") {
             if (!number(options.agents)) return std::nullopt;
-            if (options.agents < 1) {
-                std::fprintf(stderr, "error: --agents must be >= 1\n");
+            if (options.agents < 1 || options.agents > kMaxThreads) {
+                std::fprintf(stderr, "error: --agents must be in [1, %d]\n", kMaxThreads);
                 return std::nullopt;
             }
         } else if (arg == "--seconds") {
@@ -205,8 +209,8 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
             }
         } else if (arg == "--threads") {
             if (!number(options.threads)) return std::nullopt;
-            if (options.threads < 0) {
-                std::fprintf(stderr, "error: --threads must be >= 0\n");
+            if (options.threads < 0 || options.threads > kMaxThreads) {
+                std::fprintf(stderr, "error: --threads must be in [0, %d]\n", kMaxThreads);
                 return std::nullopt;
             }
         } else if (arg == "--shape") {
@@ -287,8 +291,8 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
         std::fprintf(stderr, "error: --dataplane must be sim or fast\n");
         return std::nullopt;
     }
-    if (options.dataplane_workers < 0) {
-        std::fprintf(stderr, "error: --dataplane-workers must be >= 0\n");
+    if (options.dataplane_workers < 0 || options.dataplane_workers > kMaxThreads) {
+        std::fprintf(stderr, "error: --dataplane-workers must be in [0, %d]\n", kMaxThreads);
         return std::nullopt;
     }
     if (options.enact && (options.enact_deadband < 0.0 || options.enact_interval <= 0.0)) {

@@ -1,9 +1,9 @@
 # Runs `lrgp_cli --load` on malformed problem files.  Each must end in a
 # typed error (exit 2, an "error:" line on stderr), never an abort (134),
 # a crash (139) or an infeasible allocation.  A numeric flag whose value
-# is not wholly a finite number (`--gamma nan|inf` among them) and
-# `--scenario` with a flag its replay would ignore must fail the same
-# way, naming the flag.
+# is not wholly a finite number (`--gamma nan|inf` among them), a
+# thread-count flag above 256 and `--scenario` with a flag its replay
+# would ignore must fail the same way, naming the flag.
 #
 #   cmake -DCLI=<path to lrgp_cli> -DWORK_DIR=<scratch dir> -P cli_malformed_input.cmake
 if(NOT CLI OR NOT WORK_DIR)
@@ -72,10 +72,12 @@ endif()
 # text, a word, a negative value for an unsigned field, nan or inf must
 # not run with the leading number, with 0, with the wrapped value (-1 as
 # seed 4294967295), with a non-finite node-price stepsize, or forever
-# (--engine async --seconds inf).
+# (--engine async --seconds inf).  A thread-count flag above its cap of
+# 256 must not start that many threads.
 foreach(case "--gamma;abc" "--iterations;50x" "--shards;2x" "--seconds;2abc"
         "--enact-deadband;abc" "--seed;-1" "--obs-sample;abc" "--sa-steps;abc"
-        "--gamma;nan" "--gamma;inf" "--seconds;inf" "--enact-deadband;nan")
+        "--gamma;nan" "--gamma;inf" "--seconds;inf" "--enact-deadband;nan"
+        "--threads;257" "--agents;257;--engine;async" "--dataplane-workers;257")
   list(GET case 0 flag)
   execute_process(
     COMMAND "${CLI}" --iterations 5 ${case}
