@@ -22,8 +22,8 @@
 //     shard's detector fired and the last reconcile pass moved no
 //     budget above the hysteresis threshold; the remaining optimality
 //     gap is bounded by the frozen boundary-budget split (measured
-//     against the monolithic solver in bench_shards / test_sharded_engine,
-//     <= 1% on the seeded sweep).  This per-shard convergence gating is
+//     against the monolithic solver in test_sharded_engine, <= 1% on
+//     the seeded sweep).  This per-shard convergence gating is
 //     what makes shards pay off even on few cores: a slow-converging
 //     region only keeps its own shard iterating, instead of dragging
 //     per-iteration work across the whole overlay.
