@@ -293,6 +293,34 @@ TEST(ParallelEngine, IncrementalRankCacheReusedOnCapacityOnlyChange) {
     EXPECT_GT(incremental.incrementalStats().rank_cache_hits, rank_hits_before);
 }
 
+TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
+    // A capacity change touches no rate, price or ceiling, so the next
+    // iteration re-admits the squeezed node alone: no rate solve, no link
+    // sum, and every other node reuses its cached admission.  The
+    // headroom workload quiesces first, so no rate move widens the sets.
+    workload::WorkloadOptions options;
+    options.node_capacity = 3.0e7;
+    options.rate_max = 60.0;
+    const model::ProblemSpec spec = workload::make_scaled_workload(options);
+    core::LrgpOptimizer serial(spec);
+    core::ParallelLrgpEngine engine(spec, {}, {.threads = 2, .incremental = true});
+    run_lockstep(serial, engine, 120);
+    const core::IncrementalStats before = engine.incrementalStats();
+
+    const model::NodeId squeezed = workload::find_node(spec, "r0_S1");
+    const double capacity = spec.node(squeezed).capacity * 0.9;
+    serial.setNodeCapacity(squeezed, capacity);
+    engine.setNodeCapacity(squeezed, capacity);
+    run_lockstep(serial, engine, 1);
+    const core::IncrementalStats after = engine.incrementalStats();
+    EXPECT_EQ(after.dirty_flows - before.dirty_flows, 0u);
+    EXPECT_EQ(after.dirty_nodes - before.dirty_nodes, 1u);
+    EXPECT_EQ(after.dirty_links - before.dirty_links, 0u);
+    EXPECT_EQ(after.node_cache_hits - before.node_cache_hits, spec.nodeCount() - 1);
+
+    run_lockstep(serial, engine, 40);
+}
+
 TEST(ParallelEngine, IncrementalStatsStayZeroWhenDisabled) {
     const model::ProblemSpec spec = workload::make_base_workload();
     core::ParallelLrgpEngine engine(spec, {}, {.threads = 2});
