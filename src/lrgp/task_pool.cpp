@@ -9,11 +9,20 @@ TaskPool::TaskPool(int threads) {
     if (threads <= 0) threads = static_cast<int>(std::thread::hardware_concurrency());
     thread_count_ = std::max(1, threads);
     workers_.reserve(static_cast<std::size_t>(thread_count_ - 1));
-    for (int w = 1; w < thread_count_; ++w)
-        workers_.emplace_back([this, w] { workerLoop(w); });
+    try {
+        for (int w = 1; w < thread_count_; ++w)
+            workers_.emplace_back([this, w] { workerLoop(w); });
+    } catch (...) {
+        // A worker failed to start (std::system_error): the ones already
+        // running must be joined, or destroying them calls std::terminate.
+        stopWorkers();
+        throw;
+    }
 }
 
-TaskPool::~TaskPool() {
+TaskPool::~TaskPool() { stopWorkers(); }
+
+void TaskPool::stopWorkers() {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stop_ = true;

@@ -27,7 +27,9 @@ class TaskPool {
 public:
     /// `threads` counts the calling thread: 1 means no workers are
     /// spawned and parallelFor degrades to a plain loop.  0 resolves to
-    /// std::thread::hardware_concurrency().
+    /// std::thread::hardware_concurrency().  If a worker fails to start,
+    /// the workers already started are joined and the std::system_error
+    /// is rethrown.
     explicit TaskPool(int threads);
     ~TaskPool();
 
@@ -69,6 +71,8 @@ public:
 
 private:
     void workerLoop(int worker);
+    /// Wakes every started worker with stop_ set and joins it.
+    void stopWorkers();
 
     int thread_count_;
     std::vector<std::thread> workers_;

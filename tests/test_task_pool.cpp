@@ -2,10 +2,16 @@
 // merge helper the sharded engine builds on: tasks may finish in any
 // order on any number of workers, but merge(i) must run serially on the
 // calling thread in ascending index order, strictly after every task.
+// The last test covers a worker that fails to start.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -87,6 +93,39 @@ TEST(TaskPool, ForEachMergeOrderedWorkerIdsStayInRange) {
         EXPECT_GE(worker_of[i], 0);
         EXPECT_LT(worker_of[i], pool.threadCount());
     }
+}
+
+TEST(TaskPool, PartialStartJoinsAndThrows) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer runtimes reserve address space beyond any RLIMIT_AS cap";
+#else
+    rlimit stack{};
+    ASSERT_EQ(getrlimit(RLIMIT_STACK, &stack), 0);
+    if (stack.rlim_cur == RLIM_INFINITY) GTEST_SKIP() << "RLIMIT_STACK is unlimited";
+    // glibc gives each std::thread a stack of the soft RLIMIT_STACK.  The
+    // child caps its address space 1.5 stacks above its current size, so
+    // the first worker starts and the second fails with EAGAIN.  The pool
+    // must join the started worker and rethrow; a joinable std::thread
+    // destroyed during the unwind would abort instead.
+    EXPECT_EXIT(
+        {
+            std::ifstream statm("/proc/self/statm");
+            unsigned long long pages = 0;
+            statm >> pages;
+            rlimit as{};
+            getrlimit(RLIMIT_AS, &as);
+            as.rlim_cur = static_cast<rlim_t>(pages) * static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                          stack.rlim_cur / 2 * 3;
+            if (pages == 0 || setrlimit(RLIMIT_AS, &as) != 0) std::_Exit(2);
+            try {
+                TaskPool pool(4);
+            } catch (const std::system_error&) {
+                std::_Exit(0);
+            }
+            std::_Exit(1);
+        },
+        testing::ExitedWithCode(0), "");
+#endif
 }
 
 }  // namespace
