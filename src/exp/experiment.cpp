@@ -41,12 +41,14 @@ std::uint32_t idByName(const Entities& entities, const std::string& name, const 
 }
 
 /// Reads `events` into a schedule sorted by `at` (equal times keep file
-/// order), each name resolved against the built workload `spec`.
+/// order), each name resolved against the built workload `spec`.  A node
+/// capacity below the node's floor throws std::invalid_argument.
 std::vector<scenario::DynamicOp> scheduleFromConfig(const io::JsonValue& config,
                                                     const model::ProblemSpec& spec) {
     using enum scenario::OpKind;
     std::vector<scenario::DynamicOp> schedule;
     if (!config.has("events")) return schedule;
+    const model::ProblemSpec::Floors floors = spec.floors();
     for (const io::JsonValue& e : config.at("events").asArray()) {
         scenario::DynamicOp op;
         const int at = e.at("at").asInt();
@@ -60,6 +62,11 @@ std::vector<scenario::DynamicOp> scheduleFromConfig(const io::JsonValue& config,
             op.kind = kSetNodeCapacity;
             op.value = e.at("capacity").asNumber();
             op.target = idByName(spec.nodes(), e.at("node").asString(), "node");
+            if (op.value < floors.node[op.target])
+                throw std::invalid_argument("experiment: capacity of node '" +
+                                            e.at("node").asString() +
+                                            "' is below its floor, the sum of F * rate_min "
+                                            "over its flows");
         } else if (action == "set_class_max") {
             op.kind = kSetClassMaxConsumers;
             op.value = e.at("max").asInt();

@@ -108,6 +108,18 @@ public:
     /// L_{l,i}; zero when the flow does not traverse the link.
     [[nodiscard]] double linkCost(LinkId l, FlowId i) const;
 
+    /// Per-resource capacity floors, indexed by node and link id.
+    struct Floors {
+        std::vector<double> node;  ///< sum of F_{b,i} * rate_min at node b
+        std::vector<double> link;  ///< sum of L_{l,i} * rate_min on link l
+    };
+    /// The floors of every node and link, summed over every flow routed
+    /// through it in flow-id order, inactive flows included (restoreFlow
+    /// can bring them back).  No allocation is feasible below a floor;
+    /// ProblemBuilder::build() rejects a capacity below its floor and
+    /// accepts one exactly at it.
+    [[nodiscard]] Floors floors() const;
+
     /// Marks a flow as departed/returned (Figure 3 recovery experiment).
     void setFlowActive(FlowId id, bool active) { flows_.at(id.index()).active = active; }
     [[nodiscard]] bool flowActive(FlowId id) const { return flows_.at(id.index()).active; }

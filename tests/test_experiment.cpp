@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "exp/experiment.hpp"
@@ -253,6 +254,28 @@ TEST(Experiment, RejectsNonIntegralIntegerFields) {
                      std::runtime_error)
             << bad;
     }
+}
+
+TEST(Experiment, CapacityEventBelowFloorThrows) {
+    const std::string head = R"({
+        "workload": {"kind": "base"},
+        "optimizer": {"kind": "lrgp", "iterations": 60},
+        "events": [{"at": 20, "action": "set_node_capacity", "node": "r0_S0", "capacity": )";
+    try {
+        (void)run_experiment_string(head + "1e-9}]}");
+        FAIL() << "a capacity below the floor was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'r0_S0'"), std::string::npos) << e.what();
+    }
+    // ProblemBuilder::build() accepts a node exactly at its floor, and so
+    // does the event.
+    const model::ProblemSpec spec = workload::make_base_workload();
+    const double floor = spec.floors().node[workload::find_node(spec, "r0_S0").index()];
+    ASSERT_GT(floor, 0.0);
+    char capacity[32];
+    std::snprintf(capacity, sizeof capacity, "%.17g", floor);
+    const auto result = run_experiment_string(head + capacity + "}]}");
+    EXPECT_EQ(result.utility_trace.size(), 60u);
 }
 
 TEST(Experiment, UnknownEventTargetThrows) {
