@@ -57,7 +57,7 @@ constexpr int kMaxThreads = 256;
 struct CliOptions {
     std::string workload = "base";  // base | random
     std::string engine = "serial";  // a shard::make_engine name, or async
-    int threads = 1;                // compiled/incremental worker threads
+    int threads = 1;                // incremental/sharded worker threads
     int shards = 4;                 // --engine sharded shard count
     int agents = 4;                 // --engine async agent-thread count
     double seconds = 12.0;          // --engine async virtual run horizon
@@ -97,9 +97,9 @@ void printUsage() {
         "                             --gamma --enact --dataplane sim --obs-out\n"
         "                             --save, any other flag is an error\n"
         "  --list-scenarios           print the scenario catalog and exit\n"
-        "  --engine serial|compiled|incremental|sharded|async\n"
+        "  --engine serial|incremental|sharded|async\n"
         "                             iteration driver (default serial); the first\n"
-        "                             three produce bitwise-identical trajectories,\n"
+        "                             two produce bitwise-identical trajectories,\n"
         "                             sharded matches them exactly at --shards 1, and\n"
         "                             async runs the live shard-agent runtime in\n"
         "                             deterministic virtual time (--agents/--seconds)\n"
@@ -497,11 +497,11 @@ int run(const CliOptions& cli) {
         return 0;
     }
 
-    // The serial/compiled/incremental drivers follow the same bitwise
-    // trajectory; --engine only chooses the hot path (object graph, flat
-    // arrays, or flat arrays with dirty-set skipping).  "sharded" layers
-    // the hierarchical control plane on K incremental subengines and
-    // matches the others exactly at --shards 1.
+    // The serial and incremental drivers follow the same bitwise
+    // trajectory; --engine only chooses the hot path (object graph, or
+    // flat arrays with dirty-set skipping).  "sharded" layers the
+    // hierarchical control plane on K incremental subengines and matches
+    // the others exactly at --shards 1.
     const std::unique_ptr<core::Engine> owner =
         shard::make_engine(cli.engine, spec, lrgp_options, cli.threads, cli.shards);
     const auto* sharded = dynamic_cast<const shard::ShardedLrgpEngine*>(owner.get());
@@ -535,16 +535,15 @@ int run(const CliOptions& cli) {
     std::printf("LRGP: utility %.0f after %d iterations (converged at %zu)\n",
                 current_utility(), cli.iterations, converged);
 
-    if (parallel && parallel->incremental()) {
+    if (parallel) {
         const core::IncrementalStats inc = parallel->incrementalStats();
         std::printf("incremental: %llu rate solves run / %llu skipped, "
-                    "%llu node admissions run / %llu cached (%llu rank reuses), "
+                    "%llu node admissions run / %llu cached, "
                     "%llu link sums, %llu utility-sum reuses\n",
                     static_cast<unsigned long long>(inc.dirty_flows),
                     static_cast<unsigned long long>(inc.skipped_solves),
                     static_cast<unsigned long long>(inc.dirty_nodes),
                     static_cast<unsigned long long>(inc.node_cache_hits),
-                    static_cast<unsigned long long>(inc.rank_cache_hits),
                     static_cast<unsigned long long>(inc.dirty_links),
                     static_cast<unsigned long long>(inc.utility_cache_hits));
     }

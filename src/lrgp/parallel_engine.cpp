@@ -23,52 +23,6 @@ struct ParallelLrgpEngine::Cand {
 /// Per-worker greedy ranking buffer (phase 2).
 struct ParallelLrgpEngine::NodeScratch {
     std::vector<Cand> cands;
-    /// Incremental mode: node-class-span population snapshot taken before
-    /// a re-admission, diffed afterwards to set pop_moved bits.
-    std::vector<int> old_pops;
-};
-
-/// Dirty bits and cached per-entity outputs of incremental mode.
-///
-/// Write discipline (this is what keeps the phases race-free and the
-/// trajectory bitwise-deterministic for any thread count): every array
-/// is either written serially between the phase barriers (the seed /
-/// propagate / clear steps in step() and the dynamic ops), or written
-/// inside a phase strictly per-entity by the one chunk that owns the
-/// entity.  Phases read only bits that were last written before their
-/// barrier, so no atomics are needed and TSan stays quiet.
-struct ParallelLrgpEngine::IncrementalState {
-    // -- dirty bits, consumed (and cleared) by the named phase ------------
-    std::vector<std::uint8_t> flow_dirty;        ///< phase 1 re-solves these
-    std::vector<std::uint8_t> node_rank_dirty;   ///< phase 2 rebuilds ranking
-    std::vector<std::uint8_t> node_result_dirty; ///< phase 2 re-admits (cached ranking ok)
-    std::vector<std::uint8_t> link_dirty;        ///< phase 3 re-sums usage
-
-    // -- moved bits, produced by one iteration, seed the next -------------
-    std::vector<std::uint8_t> rate_moved;        ///< phase 1 -> node/link dirt
-    std::vector<std::uint8_t> pop_moved;         ///< phase 2 -> flow dirt (own flow)
-    std::vector<std::uint8_t> node_price_moved;  ///< phase 2 -> flow dirt (flows at node)
-    std::vector<std::uint8_t> link_price_moved;  ///< phase 3 -> flow dirt (flows on link)
-
-    // -- cached per-node outputs, CSR cands by node_class_begin -----------
-    std::vector<Cand> cands;  ///< cached benefit-cost ordering
-    std::vector<std::uint32_t> cand_count;
-    std::vector<double> base_usage;        ///< F-term usage (rank-clean nodes)
-    std::vector<double> used;              ///< used_b fed to Eq. 12 when skipped
-    std::vector<std::optional<double>> unmet_bc;  ///< BC(b,t) fed to Eq. 12 when skipped
-
-    // -- cached per-link usage and the cached Eq. 1 sum -------------------
-    std::vector<double> link_usage;
-    double cached_utility = 0.0;
-
-    // -- per-iteration pre-counts (serial) --------------------------------
-    std::size_t dirty_flows_now = 0;    ///< active dirty flows entering phase 1
-    std::size_t skipped_solves_now = 0; ///< active clean flows entering phase 1
-    std::size_t dirty_nodes_now = 0;    ///< nodes re-admitting this iteration
-    std::size_t rank_hits_now = 0;      ///< re-admissions reusing the cached ranking
-    std::size_t node_hits_now = 0;      ///< nodes fully skipped
-    std::size_t dirty_links_now = 0;    ///< links re-summing usage
-    IncrementalStats totals;
 };
 
 ParallelLrgpEngine::ParallelLrgpEngine(model::ProblemSpec spec, LrgpOptions options,
@@ -109,42 +63,26 @@ ParallelLrgpEngine::ParallelLrgpEngine(model::ProblemSpec spec, LrgpOptions opti
     for (int w = 0; w < pool_->threadCount(); ++w) {
         node_scratch_.push_back(std::make_unique<NodeScratch>());
         node_scratch_.back()->cands.resize(compiled_.max_classes_at_node);
-        node_scratch_.back()->old_pops.resize(compiled_.max_classes_at_node);
     }
 
-    if (config.incremental) {
-        inc_ = std::make_unique<IncrementalState>();
-        // Everything starts dirty so the first iteration is a full one.
-        inc_->flow_dirty.assign(compiled_.flowCount(), 1);
-        inc_->node_rank_dirty.assign(compiled_.nodeCount(), 1);
-        inc_->node_result_dirty.assign(compiled_.nodeCount(), 1);
-        inc_->link_dirty.assign(compiled_.linkCount(), 1);
-        inc_->rate_moved.assign(compiled_.flowCount(), 0);
-        inc_->pop_moved.assign(compiled_.classCount(), 0);
-        inc_->node_price_moved.assign(compiled_.nodeCount(), 0);
-        inc_->link_price_moved.assign(compiled_.linkCount(), 0);
-        inc_->cands.resize(compiled_.classCount());
-        inc_->cand_count.assign(compiled_.nodeCount(), 0);
-        inc_->base_usage.assign(compiled_.nodeCount(), 0.0);
-        inc_->used.assign(compiled_.nodeCount(), 0.0);
-        inc_->unmet_bc.assign(compiled_.nodeCount(), std::nullopt);
-        inc_->link_usage.assign(compiled_.linkCount(), 0.0);
-    }
+    // Everything starts dirty so the first iteration is a full one.
+    flow_dirty_.assign(compiled_.flowCount(), 1);
+    node_dirty_.assign(compiled_.nodeCount(), 1);
+    link_dirty_.assign(compiled_.linkCount(), 1);
+    rate_moved_.assign(compiled_.flowCount(), 0);
+    pop_moved_.assign(compiled_.classCount(), 0);
+    node_price_moved_.assign(compiled_.nodeCount(), 0);
+    link_price_moved_.assign(compiled_.linkCount(), 0);
+    node_used_.assign(compiled_.nodeCount(), 0.0);
+    node_unmet_bc_.assign(compiled_.nodeCount(), std::nullopt);
+    link_usage_.assign(compiled_.linkCount(), 0.0);
 }
 
 ParallelLrgpEngine::~ParallelLrgpEngine() = default;
 
 int ParallelLrgpEngine::threadCount() const noexcept { return pool_->threadCount(); }
 
-const char* ParallelLrgpEngine::name() const noexcept {
-    return inc_ ? "incremental" : "compiled";
-}
-
-bool ParallelLrgpEngine::incremental() const noexcept { return inc_ != nullptr; }
-
-IncrementalStats ParallelLrgpEngine::incrementalStats() const noexcept {
-    return inc_ ? inc_->totals : IncrementalStats{};
-}
+const char* ParallelLrgpEngine::name() const noexcept { return "incremental"; }
 
 void ParallelLrgpEngine::solveFlow(std::size_t f) {
     const CompiledProblem& cp = compiled_;
@@ -275,27 +213,15 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 }
 
 void ParallelLrgpEngine::ratePhase(std::size_t begin, std::size_t end) {
-    std::uint64_t solves = 0;
     for (std::size_t f = begin; f < end; ++f) {
-        if (!compiled_.flow_active[f]) continue;
-        solveFlow(f);
-        ++solves;
-    }
-    if (obs_attached_ && solves > 0) instr_.rate_solves->add(solves);
-}
-
-void ParallelLrgpEngine::ratePhaseInc(std::size_t begin, std::size_t end) {
-    IncrementalState& inc = *inc_;
-    for (std::size_t f = begin; f < end; ++f) {
-        if (!compiled_.flow_active[f]) continue;
-        if (!inc.flow_dirty[f]) continue;
+        if (!compiled_.flow_active[f] || !flow_dirty_[f]) continue;
         // Dirty inputs: re-solve and record whether the rate actually
         // moved.  A clean flow's rate (and its cached transcendental) is a
         // deterministic function of bitwise-unchanged populations and
         // prices, so skipping the solve reproduces it exactly.
         const double old_rate = allocation_.rates[f];
         solveFlow(f);
-        inc.rate_moved[f] = allocation_.rates[f] != old_rate ? 1 : 0;
+        rate_moved_[f] = allocation_.rates[f] != old_rate ? 1 : 0;
     }
 }
 
@@ -315,20 +241,22 @@ double ParallelLrgpEngine::nodeBaseUsage(std::size_t b) const {
 std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, Cand* out) {
     const CompiledProblem& cp = compiled_;
     const std::vector<double>& rates = allocation_.rates;
-    // Benefit-cost candidates; all classes at the node start at zero.
     std::uint32_t count = 0;
     for (std::size_t e = cp.node_class_begin[b]; e < cp.node_class_begin[b + 1]; ++e) {
         const std::uint32_t cls = cp.node_class_class[e];
-        allocation_.populations[cls] = 0;
-        class_utility_term_[cls] = 0.0;
         const std::uint32_t f = cp.class_flow[cls];
-        if (!cp.flow_active[f] || cp.class_max_consumers[cls] == 0) continue;
         const double rate = rates[f];
         const double unit_cost = cp.class_gcost[cls] * rate;
         // Mirrors GreedyConsumerAllocator::benefitCosts: a zero rate
         // makes BC_j = U_j(0)/0 an undefined 0/0 that must not reach
         // the ranking (bitwise parity with the serial allocator).
-        if (!(unit_cost > 0.0)) continue;
+        if (!cp.flow_active[f] || cp.class_max_consumers[cls] == 0 || !(unit_cost > 0.0)) {
+            // Unranked: no consumer is admitted.
+            if (allocation_.populations[cls] != 0) pop_moved_[cls] = 1;
+            allocation_.populations[cls] = 0;
+            class_utility_term_[cls] = 0.0;
+            continue;
+        }
         const double value = cp.flow_family[f] == SolveFamily::kGeneric
                                  ? cp.class_utility[cls]->value(rate)
                                  : cp.class_weight[cls] * flow_value_trans_[f];
@@ -338,10 +266,11 @@ std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, Cand* out) {
     return count;
 }
 
-void ParallelLrgpEngine::admitNode(const Cand* cands, std::uint32_t count, double capacity,
-                                   double base_usage, AdmitResult& result) {
+void ParallelLrgpEngine::admitNode(std::size_t b, const Cand* cands, std::uint32_t count,
+                                   double base_usage) {
+    const double capacity = compiled_.node_capacity[b];
     double remaining = capacity - base_usage;
-    result.best_unmet_bc.reset();
+    std::optional<double> best_unmet_bc;
     for (std::uint32_t i = 0; i < count; ++i) {
         const Cand& cand = cands[i];
         int admitted = 0;
@@ -350,83 +279,34 @@ void ParallelLrgpEngine::admitNode(const Cand* cands, std::uint32_t count, doubl
                                                  static_cast<double>(cand.max_consumers)));
         }
         remaining -= admitted * cand.unit_cost;
+        if (allocation_.populations[cand.cls] != admitted) pop_moved_[cand.cls] = 1;
         allocation_.populations[cand.cls] = admitted;
-        // An unconditional store: 0.0 for unadmitted candidates is exactly
-        // what the zeroing pass wrote, and the incremental re-admission
-        // path (which skips that pass) relies on it.
         class_utility_term_[cand.cls] = admitted > 0 ? admitted * cand.value : 0.0;
-        if (admitted < cand.max_consumers && !result.best_unmet_bc)
-            result.best_unmet_bc = cand.ratio;
+        if (admitted < cand.max_consumers && !best_unmet_bc) best_unmet_bc = cand.ratio;
     }
-    result.used = capacity - remaining;
+    node_used_[b] = capacity - remaining;
+    node_unmet_bc_[b] = best_unmet_bc;
 }
 
 void ParallelLrgpEngine::nodePhase(std::size_t begin, std::size_t end, NodeScratch& scratch) {
     const CompiledProblem& cp = compiled_;
     // Chunk-local tallies, flushed to the shared atomics once at the end.
-    std::uint64_t candidates = 0, price_moves = 0;
-
-    AdmitResult result;
-    for (std::size_t b = begin; b < end; ++b) {
-        const double base_usage = nodeBaseUsage(b);
-        const double capacity = cp.node_capacity[b];
-        const std::uint32_t count = buildNodeCands(b, scratch.cands.data());
-        admitNode(scratch.cands.data(), count, capacity, base_usage, result);
-        prices_.node[b] = node_prices_[b].update(result.best_unmet_bc, result.used, capacity);
-        candidates += count;
-        if (node_prices_[b].lastMoved()) ++price_moves;
-    }
-
-    if (obs_attached_ && end > begin) {
-        alloc_instr_.greedy_allocations->add(end - begin);
-        alloc_instr_.greedy_candidates->add(candidates);
-        instr_.node_price_moves->add(price_moves);
-    }
-}
-
-void ParallelLrgpEngine::nodePhaseInc(std::size_t begin, std::size_t end, NodeScratch& scratch) {
-    const CompiledProblem& cp = compiled_;
-    IncrementalState& inc = *inc_;
     std::uint64_t candidates = 0, price_moves = 0, rerun = 0;
 
-    AdmitResult result;
     for (std::size_t b = begin; b < end; ++b) {
-        const double capacity = cp.node_capacity[b];
-        if (inc.node_rank_dirty[b] || inc.node_result_dirty[b]) {
-            const std::size_t span_begin = cp.node_class_begin[b];
-            const std::size_t span_end = cp.node_class_begin[b + 1];
-            // Snapshot the span's populations to diff into pop_moved bits.
-            for (std::size_t e = span_begin; e < span_end; ++e)
-                scratch.old_pops[e - span_begin] = allocation_.populations[cp.node_class_class[e]];
-
-            Cand* cache = inc.cands.data() + span_begin;
-            if (inc.node_rank_dirty[b]) {
-                inc.base_usage[b] = nodeBaseUsage(b);
-                inc.cand_count[b] = buildNodeCands(b, cache);
-            }
-            // else: rates, active flags and ceilings at this node are
-            // bitwise-unchanged, so the cached ordering, base usage and
-            // candidate values are exactly what a rebuild would produce;
-            // only the admission depends on the (changed) capacity.
-            // Unranked classes already hold exact zeros from the last
-            // rebuild, and admitNode overwrites every ranked class.
-            admitNode(cache, inc.cand_count[b], capacity, inc.base_usage[b], result);
-            inc.used[b] = result.used;
-            inc.unmet_bc[b] = result.best_unmet_bc;
-
-            for (std::size_t e = span_begin; e < span_end; ++e) {
-                const std::uint32_t cls = cp.node_class_class[e];
-                if (allocation_.populations[cls] != scratch.old_pops[e - span_begin])
-                    inc.pop_moved[cls] = 1;
-            }
-            candidates += inc.cand_count[b];
+        if (node_dirty_[b]) {
+            const double base_usage = nodeBaseUsage(b);
+            const std::uint32_t count = buildNodeCands(b, scratch.cands.data());
+            admitNode(b, scratch.cands.data(), count, base_usage);
+            candidates += count;
             ++rerun;
         }
         // Eq. 12 always runs: the controller is stateful (adaptive gamma),
-        // and a stationary node's cached (BC(b,t), used_b) are bitwise the
+        // and a clean node's cached (BC(b,t), used_b) are bitwise the
         // values a re-admission would recompute.
-        prices_.node[b] = node_prices_[b].update(inc.unmet_bc[b], inc.used[b], capacity);
-        inc.node_price_moved[b] = node_prices_[b].lastMoved() ? 1 : 0;
+        prices_.node[b] = node_prices_[b].update(node_unmet_bc_[b], node_used_[b],
+                                                 cp.node_capacity[b]);
+        node_price_moved_[b] = node_prices_[b].lastMoved() ? 1 : 0;
         if (node_prices_[b].lastMoved()) ++price_moves;
     }
 
@@ -444,37 +324,18 @@ void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
     const std::vector<double>& rates = allocation_.rates;
     std::uint64_t price_moves = 0;
     for (std::size_t l = begin; l < end; ++l) {
-        double usage = 0.0;
-        for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e) {
-            const std::uint32_t f = cp.link_flow_flow[e];
-            if (!cp.flow_active[f]) continue;
-            usage += cp.link_flow_cost[e] * rates[f];
-        }
-        const double old_price = prices_.link[l];
-        prices_.link[l] = link_prices_[l].update(usage, cp.link_capacity[l]);
-        if (prices_.link[l] != old_price) ++price_moves;
-    }
-    if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
-}
-
-void ParallelLrgpEngine::linkPhaseInc(std::size_t begin, std::size_t end) {
-    const CompiledProblem& cp = compiled_;
-    const std::vector<double>& rates = allocation_.rates;
-    IncrementalState& inc = *inc_;
-    std::uint64_t price_moves = 0;
-    for (std::size_t l = begin; l < end; ++l) {
-        if (inc.link_dirty[l]) {
+        if (link_dirty_[l]) {
             double usage = 0.0;
             for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e) {
                 const std::uint32_t f = cp.link_flow_flow[e];
                 if (!cp.flow_active[f]) continue;
                 usage += cp.link_flow_cost[e] * rates[f];
             }
-            inc.link_usage[l] = usage;
+            link_usage_[l] = usage;
         }
         // Eq. 13 always runs on the (possibly cached) usage sum.
-        prices_.link[l] = link_prices_[l].update(inc.link_usage[l], cp.link_capacity[l]);
-        inc.link_price_moved[l] = link_prices_[l].lastMoved() ? 1 : 0;
+        prices_.link[l] = link_prices_[l].update(link_usage_[l], cp.link_capacity[l]);
+        link_price_moved_[l] = link_prices_[l].lastMoved() ? 1 : 0;
         if (link_prices_[l].lastMoved()) ++price_moves;
     }
     if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
@@ -482,101 +343,83 @@ void ParallelLrgpEngine::linkPhaseInc(std::size_t begin, std::size_t end) {
 
 void ParallelLrgpEngine::seedDirtyFlows() {
     const CompiledProblem& cp = compiled_;
-    IncrementalState& inc = *inc_;
 
     // A population move dirties its own flow only: the hop-class spans of
     // PB_i (Eq. 9) and the Eq. 7 terms both range over flow i's own
     // classes, so no other flow reads n_j.
-    for (std::size_t c = 0; c < inc.pop_moved.size(); ++c) {
-        if (!inc.pop_moved[c]) continue;
-        inc.pop_moved[c] = 0;
-        inc.flow_dirty[cp.class_flow[c]] = 1;
+    for (std::size_t c = 0; c < pop_moved_.size(); ++c) {
+        if (!pop_moved_[c]) continue;
+        pop_moved_[c] = 0;
+        flow_dirty_[cp.class_flow[c]] = 1;
     }
     // A node price move dirties every flow with a hop at the node (PB_i).
-    for (std::size_t b = 0; b < inc.node_price_moved.size(); ++b) {
-        if (!inc.node_price_moved[b]) continue;
-        inc.node_price_moved[b] = 0;
+    for (std::size_t b = 0; b < node_price_moved_.size(); ++b) {
+        if (!node_price_moved_[b]) continue;
+        node_price_moved_[b] = 0;
         for (std::size_t e = cp.node_flow_begin[b]; e < cp.node_flow_begin[b + 1]; ++e)
-            inc.flow_dirty[cp.node_flow_flow[e]] = 1;
+            flow_dirty_[cp.node_flow_flow[e]] = 1;
     }
     // A link price move dirties every flow routed over the link (PL_i).
-    for (std::size_t l = 0; l < inc.link_price_moved.size(); ++l) {
-        if (!inc.link_price_moved[l]) continue;
-        inc.link_price_moved[l] = 0;
+    for (std::size_t l = 0; l < link_price_moved_.size(); ++l) {
+        if (!link_price_moved_[l]) continue;
+        link_price_moved_[l] = 0;
         for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e)
-            inc.flow_dirty[cp.link_flow_flow[e]] = 1;
+            flow_dirty_[cp.link_flow_flow[e]] = 1;
     }
 
-    inc.dirty_flows_now = 0;
-    inc.skipped_solves_now = 0;
-    for (std::size_t f = 0; f < inc.flow_dirty.size(); ++f) {
+    dirty_flows_now_ = 0;
+    skipped_solves_now_ = 0;
+    for (std::size_t f = 0; f < flow_dirty_.size(); ++f) {
         if (!cp.flow_active[f]) continue;
-        if (inc.flow_dirty[f]) ++inc.dirty_flows_now;
-        else ++inc.skipped_solves_now;
+        if (flow_dirty_[f]) ++dirty_flows_now_;
+        else ++skipped_solves_now_;
     }
-    inc.totals.dirty_flows += inc.dirty_flows_now;
-    inc.totals.skipped_solves += inc.skipped_solves_now;
+    stats_.dirty_flows += dirty_flows_now_;
+    stats_.skipped_solves += skipped_solves_now_;
 }
 
 void ParallelLrgpEngine::propagateRateMoves() {
     const CompiledProblem& cp = compiled_;
-    IncrementalState& inc = *inc_;
 
-    // A rate move invalidates the ranking (candidate values and unit
-    // costs), the base usage and the admission outcome at every node the
-    // flow visits, plus the usage sum of every link it is routed over.
-    for (std::size_t f = 0; f < inc.rate_moved.size(); ++f) {
-        if (!inc.rate_moved[f]) continue;
-        inc.rate_moved[f] = 0;
-        for (std::size_t h = cp.flow_node_begin[f]; h < cp.flow_node_begin[f + 1]; ++h) {
-            inc.node_rank_dirty[cp.node_hop_node[h]] = 1;
-            inc.node_result_dirty[cp.node_hop_node[h]] = 1;
-        }
+    // A rate move invalidates the candidates, the base usage and the
+    // admission outcome at every node the flow visits, plus the usage sum
+    // of every link it is routed over.
+    for (std::size_t f = 0; f < rate_moved_.size(); ++f) {
+        if (!rate_moved_[f]) continue;
+        rate_moved_[f] = 0;
+        for (std::size_t h = cp.flow_node_begin[f]; h < cp.flow_node_begin[f + 1]; ++h)
+            node_dirty_[cp.node_hop_node[h]] = 1;
         for (std::size_t h = cp.flow_link_begin[f]; h < cp.flow_link_begin[f + 1]; ++h)
-            inc.link_dirty[cp.link_hop_link[h]] = 1;
+            link_dirty_[cp.link_hop_link[h]] = 1;
     }
 
-    inc.dirty_nodes_now = 0;
-    inc.rank_hits_now = 0;
-    inc.node_hits_now = 0;
-    for (std::size_t b = 0; b < inc.node_rank_dirty.size(); ++b) {
-        if (inc.node_rank_dirty[b]) ++inc.dirty_nodes_now;
-        else if (inc.node_result_dirty[b]) { ++inc.dirty_nodes_now; ++inc.rank_hits_now; }
-        else ++inc.node_hits_now;
-    }
-    inc.totals.dirty_nodes += inc.dirty_nodes_now;
-    inc.totals.rank_cache_hits += inc.rank_hits_now;
-    inc.totals.node_cache_hits += inc.node_hits_now;
+    dirty_nodes_now_ = 0;
+    for (std::uint8_t d : node_dirty_) dirty_nodes_now_ += d;
+    stats_.dirty_nodes += dirty_nodes_now_;
+    stats_.node_cache_hits += node_dirty_.size() - dirty_nodes_now_;
 
-    inc.dirty_links_now = 0;
-    for (std::uint8_t d : inc.link_dirty) inc.dirty_links_now += d;
-    inc.totals.dirty_links += inc.dirty_links_now;
+    dirty_links_now_ = 0;
+    for (std::uint8_t d : link_dirty_) dirty_links_now_ += d;
+    stats_.dirty_links += dirty_links_now_;
 }
 
 void ParallelLrgpEngine::dirtyFlowCascade(model::FlowId flow) {
-    if (!inc_) return;
     const CompiledProblem& cp = compiled_;
-    IncrementalState& inc = *inc_;
     const std::size_t f = flow.index();
     // The flow's rate and/or populations were edited in place: re-solve
-    // it, re-run every node it visits (rank caches hold stale candidate
-    // values) and re-sum every link it is routed over.
-    inc.flow_dirty[f] = 1;
-    for (std::size_t h = cp.flow_node_begin[f]; h < cp.flow_node_begin[f + 1]; ++h) {
-        inc.node_rank_dirty[cp.node_hop_node[h]] = 1;
-        inc.node_result_dirty[cp.node_hop_node[h]] = 1;
-    }
+    // it, re-run every node it visits and re-sum every link it is routed
+    // over.
+    flow_dirty_[f] = 1;
+    for (std::size_t h = cp.flow_node_begin[f]; h < cp.flow_node_begin[f + 1]; ++h)
+        node_dirty_[cp.node_hop_node[h]] = 1;
     for (std::size_t h = cp.flow_link_begin[f]; h < cp.flow_link_begin[f + 1]; ++h)
-        inc.link_dirty[cp.link_hop_link[h]] = 1;
+        link_dirty_[cp.link_hop_link[h]] = 1;
 }
 
 void ParallelLrgpEngine::markAllDirty() {
-    if (!inc_) return;
-    IncrementalState& inc = *inc_;
-    std::fill(inc.flow_dirty.begin(), inc.flow_dirty.end(), std::uint8_t{1});
-    std::fill(inc.node_rank_dirty.begin(), inc.node_rank_dirty.end(), std::uint8_t{1});
-    std::fill(inc.node_result_dirty.begin(), inc.node_result_dirty.end(), std::uint8_t{1});
-    std::fill(inc.link_dirty.begin(), inc.link_dirty.end(), std::uint8_t{1});
+    std::fill(flow_dirty_.begin(), flow_dirty_.end(), std::uint8_t{1});
+    std::fill(node_dirty_.begin(), node_dirty_.end(), std::uint8_t{1});
+    std::fill(link_dirty_.begin(), link_dirty_.end(), std::uint8_t{1});
 }
 
 const IterationRecord& ParallelLrgpEngine::step() {
@@ -586,59 +429,40 @@ const IterationRecord& ParallelLrgpEngine::step() {
     timed = timed || obs_on || (tracer_ && tracer_->sampling());
     std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
 
-    if (inc_) {
-        // Serial pre-step: turn last iteration's moved bits into this
-        // iteration's dirty flows (and count the sets for the stats).
-        seedDirtyFlows();
-        pool_->parallelFor(compiled_.flowCount(),
-                           [this](std::size_t b, std::size_t e, int) { ratePhaseInc(b, e); });
-        std::fill(inc_->flow_dirty.begin(), inc_->flow_dirty.end(), std::uint8_t{0});
-        // Serial inter-phase step: rate moves dirty the dependent nodes
-        // and links before their phases consume the bits.
-        propagateRateMoves();
-    } else {
-        pool_->parallelFor(compiled_.flowCount(),
-                           [this](std::size_t b, std::size_t e, int) { ratePhase(b, e); });
-    }
+    // Serial pre-step: turn last iteration's moved bits into this
+    // iteration's dirty flows (and count the sets for the stats).
+    seedDirtyFlows();
+    pool_->parallelFor(compiled_.flowCount(),
+                       [this](std::size_t b, std::size_t e, int) { ratePhase(b, e); });
+    std::fill(flow_dirty_.begin(), flow_dirty_.end(), std::uint8_t{0});
+    // Serial inter-phase step: rate moves dirty the dependent nodes and
+    // links before their phases consume the bits.
+    propagateRateMoves();
     std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
 
-    if (inc_) {
-        pool_->parallelFor(compiled_.nodeCount(), [this](std::size_t b, std::size_t e, int w) {
-            nodePhaseInc(b, e, *node_scratch_[static_cast<std::size_t>(w)]);
-        });
-        std::fill(inc_->node_rank_dirty.begin(), inc_->node_rank_dirty.end(), std::uint8_t{0});
-        std::fill(inc_->node_result_dirty.begin(), inc_->node_result_dirty.end(),
-                  std::uint8_t{0});
-    } else {
-        pool_->parallelFor(compiled_.nodeCount(), [this](std::size_t b, std::size_t e, int w) {
-            nodePhase(b, e, *node_scratch_[static_cast<std::size_t>(w)]);
-        });
-    }
+    pool_->parallelFor(compiled_.nodeCount(), [this](std::size_t b, std::size_t e, int w) {
+        nodePhase(b, e, *node_scratch_[static_cast<std::size_t>(w)]);
+    });
+    std::fill(node_dirty_.begin(), node_dirty_.end(), std::uint8_t{0});
     std::uint64_t t2 = timed ? obs::monotonic_ns() : 0;
 
-    if (inc_) {
-        pool_->parallelFor(compiled_.linkCount(),
-                           [this](std::size_t b, std::size_t e, int) { linkPhaseInc(b, e); });
-        std::fill(inc_->link_dirty.begin(), inc_->link_dirty.end(), std::uint8_t{0});
-    } else {
-        pool_->parallelFor(compiled_.linkCount(),
-                           [this](std::size_t b, std::size_t e, int) { linkPhase(b, e); });
-    }
+    pool_->parallelFor(compiled_.linkCount(),
+                       [this](std::size_t b, std::size_t e, int) { linkPhase(b, e); });
+    std::fill(link_dirty_.begin(), link_dirty_.end(), std::uint8_t{0});
     std::uint64_t t3 = timed ? obs::monotonic_ns() : 0;
 
     // Serial epilogue: the Eq. 1 reduction in class-id order (skipped
     // classes hold an exact 0.0, so the sum is bitwise the serial scan).
     // When no node re-ran admission the terms are bitwise-unchanged, so
-    // the incremental engine reuses the cached sum outright.
-    double utility;
-    if (inc_ && inc_->dirty_nodes_now == 0) {
-        utility = inc_->cached_utility;
-        ++inc_->totals.utility_cache_hits;
+    // the cached sum is reused outright.
+    if (dirty_nodes_now_ == 0) {
+        ++stats_.utility_cache_hits;
     } else {
-        utility = 0.0;
-        for (double term : class_utility_term_) utility += term;
-        if (inc_) inc_->cached_utility = utility;
+        double sum = 0.0;
+        for (double term : class_utility_term_) sum += term;
+        cached_utility_ = sum;
     }
+    const double utility = cached_utility_;
 
     ++iteration_;
     last_record_.iteration = iteration_;
@@ -665,19 +489,15 @@ const IterationRecord& ParallelLrgpEngine::step() {
         for (int n : allocation_.populations) admitted_total += n;
     if (obs_on) {
         instr_.iterations->add(1);
-        if (inc_) {
-            // The incremental rate phase skips clean flows, so the
-            // solve count comes from the serial pre-count rather than
-            // the per-chunk tallies of the full phase.
-            instr_.rate_solves->add(inc_->dirty_flows_now);
-            inc_instr_.dirty_flows->add(inc_->dirty_flows_now);
-            inc_instr_.skipped_solves->add(inc_->skipped_solves_now);
-            inc_instr_.dirty_nodes->add(inc_->dirty_nodes_now);
-            inc_instr_.node_cache_hits->add(inc_->node_hits_now);
-            inc_instr_.rank_cache_hits->add(inc_->rank_hits_now);
-            inc_instr_.dirty_links->add(inc_->dirty_links_now);
-            if (inc_->dirty_nodes_now == 0) inc_instr_.utility_cache_hits->add(1);
-        }
+        // The rate phase skips clean flows, so the solve count is the
+        // serial pre-count.
+        instr_.rate_solves->add(dirty_flows_now_);
+        inc_instr_.dirty_flows->add(dirty_flows_now_);
+        inc_instr_.skipped_solves->add(skipped_solves_now_);
+        inc_instr_.dirty_nodes->add(dirty_nodes_now_);
+        inc_instr_.node_cache_hits->add(node_dirty_.size() - dirty_nodes_now_);
+        inc_instr_.dirty_links->add(dirty_links_now_);
+        if (dirty_nodes_now_ == 0) inc_instr_.utility_cache_hits->add(1);
         instr_.admissions->add(static_cast<std::uint64_t>(admitted_total));
         alloc_instr_.greedy_admitted->add(static_cast<std::uint64_t>(admitted_total));
         instr_.utility->set(utility);
@@ -712,7 +532,7 @@ void ParallelLrgpEngine::attachObservability(obs::Registry* registry,
         instr_ = obs::SolverInstruments::resolve(*registry);
         alloc_instr_ = obs::AllocatorInstruments::resolve(*registry);
         pool_instr_ = obs::PoolInstruments::resolve(*registry);
-        if (inc_) inc_instr_ = obs::IncrementalInstruments::resolve(*registry);
+        inc_instr_ = obs::IncrementalInstruments::resolve(*registry);
         pool_->setInstruments(&pool_instr_);
         obs_attached_ = true;
     } else {
@@ -752,7 +572,7 @@ void ParallelLrgpEngine::removeFlow(model::FlowId flow) {
     allocation_.rates[flow.index()] = 0.0;
     for (model::ClassId j : spec_.classesOfFlow(flow)) allocation_.populations[j.index()] = 0;
     // The rate and populations changed in place: every node the flow
-    // visits must re-rank (its candidates vanish, the base usage drops)
+    // visits must re-run (its candidates vanish, the base usage drops)
     // and every link must re-sum.
     dirtyFlowCascade(flow);
     detector_.reset();
@@ -772,10 +592,9 @@ void ParallelLrgpEngine::restoreFlow(model::FlowId flow) {
 void ParallelLrgpEngine::setNodeCapacity(model::NodeId node, double capacity) {
     spec_.setNodeCapacity(node, capacity);
     compiled_.setNodeCapacity(node, capacity);
-    // Rates, prices and candidate values are untouched, so the cached
-    // ranking stays valid: only the admission outcome depends on the
-    // capacity.  This is the rank-reuse path (result-dirty only).
-    if (inc_) inc_->node_result_dirty[node.index()] = 1;
+    // Only this node's admission reads the capacity: it re-ranks and
+    // re-admits, and every other cached output stays valid.
+    node_dirty_[node.index()] = 1;
     detector_.reset();
     noteConvergenceReset();
 }
@@ -796,14 +615,11 @@ void ParallelLrgpEngine::setClassMaxConsumers(model::ClassId cls, int max_consum
     compiled_.setClassMaxConsumers(cls, max_consumers);
     auto& n = allocation_.populations.at(cls.index());
     n = std::min(n, max_consumers);
-    if (inc_) {
-        // The ceiling is baked into the cached candidates, so the class's
-        // node must re-rank; the (possibly clamped) population feeds the
-        // owning flow's PB_i, so that flow must re-solve.
-        inc_->node_rank_dirty[compiled_.class_node[cls.index()]] = 1;
-        inc_->node_result_dirty[compiled_.class_node[cls.index()]] = 1;
-        inc_->flow_dirty[compiled_.class_flow[cls.index()]] = 1;
-    }
+    // The ceiling bounds the class's admission, so its node re-runs; the
+    // (possibly clamped) population feeds the owning flow's PB_i, so that
+    // flow re-solves.
+    node_dirty_[compiled_.class_node[cls.index()]] = 1;
+    flow_dirty_[compiled_.class_flow[cls.index()]] = 1;
     detector_.reset();
     noteConvergenceReset();
 }

@@ -24,27 +24,27 @@
 // steady-state iteration performs no heap allocation beyond the
 // IterationRecord snapshot that mirrors the serial optimizer's API.
 //
-// Incremental mode (EngineConfig::incremental) adds dirty-set tracking
-// on top, skipping work whose inputs are bitwise-unchanged since the
-// last iteration:
+// Each phase has one loop, and it skips the entities whose inputs are
+// bitwise-unchanged since the last iteration (dirty-set tracking):
 //
 //   * a flow re-solves Eq. 7 only if one of its own populations, a node
 //     price on its route, or a link price on its route moved;
-//   * a node re-runs greedy admission only if an incident flow's rate
-//     moved (or a dynamic op touched it); a capacity-only change reuses
-//     the node's cached benefit-cost ordering and just re-admits;
+//   * a node re-ranks and re-admits only if an incident flow's rate
+//     moved or a dynamic op touched it (a capacity change included);
 //   * a link re-sums usage only if an incident flow's rate moved;
 //   * the Eq. 1 utility sum is reused when no node re-ran.
 //
-// Price controllers are stateful (adaptive gamma), so their updates
-// always run — fed from cached (BC(b,t), used_b) and usage values when
-// the producing phase was skipped — and publish per-entity "moved" bits
-// that seed the next iteration's dirty flows.  Skipping is a pure
-// evaluation-order optimization: every skipped computation is a
-// deterministic function of inputs that are bitwise-unchanged, so the
-// trajectory stays bitwise-identical to the serial optimizer (see
-// docs/algorithm.md for the invalidation rules and the full argument).
-// Dynamic workload changes widen the dirty sets conservatively.
+// When everything is dirty (the first iteration, or after a warm start
+// or a restore) each loop visits every entity.  Price controllers are
+// stateful (adaptive gamma), so their updates always run — fed from
+// cached (BC(b,t), used_b) and usage values when the producing phase was
+// skipped — and publish per-entity "moved" bits that seed the next
+// iteration's dirty flows.  Skipping is a pure evaluation-order
+// optimization: every skipped computation is a deterministic function of
+// inputs that are bitwise-unchanged, so the trajectory stays
+// bitwise-identical to the serial optimizer (see docs/algorithm.md for
+// the invalidation rules and the full argument).  Dynamic workload
+// changes widen the dirty sets conservatively.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +67,8 @@ struct EngineConfig {
     /// Accumulate per-phase wall time (a few steady_clock reads per
     /// iteration; off by default to keep the hot path undisturbed).
     bool collect_phase_times = false;
-    /// Track dirty sets across iterations and skip rate solves, greedy
-    /// admissions, link sums and the utility reduction whose inputs are
-    /// bitwise-unchanged.  Results stay bitwise-identical to the serial
-    /// optimizer; only the evaluation order changes.
+    /// Ignored: dirty-set tracking is always on.  Only perfbench still
+    /// sets it; ROADMAP item 9 deletes it with that use.
     bool incremental = false;
 };
 
@@ -83,15 +81,17 @@ struct PhaseTimes {
     std::uint64_t iterations = 0;
 };
 
-/// Cumulative dirty-set bookkeeping of incremental mode, maintained
-/// whether or not observability is attached (the lrgp_inc_* counters
-/// mirror these when it is).  All counts are totals since construction.
+/// Cumulative dirty-set bookkeeping, maintained whether or not
+/// observability is attached (the lrgp_inc_* counters mirror these when
+/// it is).  All counts are totals since construction.
 struct IncrementalStats {
     std::uint64_t dirty_flows = 0;         ///< rate solves re-run
     std::uint64_t skipped_solves = 0;      ///< active flows skipped in phase 1
     std::uint64_t dirty_nodes = 0;         ///< nodes that re-ran admission
     std::uint64_t node_cache_hits = 0;     ///< nodes fully skipped
-    std::uint64_t rank_cache_hits = 0;     ///< re-admissions reusing the cached ranking
+    /// Always 0: the engine keeps no rank cache.  Only perfbench reads
+    /// it; ROADMAP item 9 deletes it with that use.
+    std::uint64_t rank_cache_hits = 0;
     std::uint64_t dirty_links = 0;         ///< link usage sums recomputed
     std::uint64_t utility_cache_hits = 0;  ///< iterations reusing the cached Eq. 1 sum
 };
@@ -149,17 +149,10 @@ public:
     [[nodiscard]] int threadCount() const noexcept;
     [[nodiscard]] const PhaseTimes& phaseTimes() const noexcept { return phase_times_; }
 
-    /// Zeroes the accumulated phase times; benchmarks call this after a
-    /// warmup run to time the converged tail in isolation.
-    void resetPhaseTimes() noexcept { phase_times_ = {}; }
-
     [[nodiscard]] const CompiledProblem& compiled() const noexcept { return compiled_; }
 
-    /// Whether dirty-set tracking is on (EngineConfig::incremental).
-    [[nodiscard]] bool incremental() const noexcept;
-
-    /// Cumulative dirty-set counts; all-zero when incremental() is false.
-    [[nodiscard]] IncrementalStats incrementalStats() const noexcept;
+    /// Cumulative dirty-set counts.
+    [[nodiscard]] IncrementalStats incrementalStats() const noexcept { return stats_; }
 
     // -- warm-state snapshots (crash recovery) ---------------------------
 
@@ -180,38 +173,29 @@ public:
 private:
     struct Cand;
     struct NodeScratch;
-    struct IncrementalState;
-
-    /// Outcome of one node's greedy admission, fed to Eq. 12.
-    struct AdmitResult {
-        double used = 0.0;
-        std::optional<double> best_unmet_bc;
-    };
 
     /// F_{b,i} * r_i usage of the active flows at node b.
     [[nodiscard]] double nodeBaseUsage(std::size_t b) const;
-    /// Zeroes the node's populations/utility terms and writes the sorted
-    /// benefit-cost candidates to `out`; returns the candidate count.
+    /// Writes the sorted benefit-cost candidates of node b to `out` and
+    /// returns their count.  Classes left unranked (inactive flow, zero
+    /// ceiling, zero unit cost) get population 0 and Eq. 1 term 0.0.
     std::uint32_t buildNodeCands(std::size_t b, Cand* out);
     /// Runs the batched greedy admission over an already-sorted candidate
-    /// range, writing populations and Eq. 1 terms.
-    void admitNode(const Cand* cands, std::uint32_t count, double capacity, double base_usage,
-                   AdmitResult& result);
+    /// range, writing populations, Eq. 1 terms and the node's cached
+    /// (used_b, BC(b,t)) pair.
+    void admitNode(std::size_t b, const Cand* cands, std::uint32_t count, double base_usage);
 
     void ratePhase(std::size_t begin, std::size_t end);
-    void ratePhaseInc(std::size_t begin, std::size_t end);
     void nodePhase(std::size_t begin, std::size_t end, NodeScratch& scratch);
-    void nodePhaseInc(std::size_t begin, std::size_t end, NodeScratch& scratch);
     void linkPhase(std::size_t begin, std::size_t end);
-    void linkPhaseInc(std::size_t begin, std::size_t end);
     void solveFlow(std::size_t f);
-    /// Seeds flow_dirty from last iteration's pop/price moved bits.
+    /// Seeds flow_dirty_ from last iteration's pop/price moved bits.
     void seedDirtyFlows();
     /// Turns phase-1 rate moves into node/link dirty bits.
     void propagateRateMoves();
     /// Conservative widening for dynamic ops touching `flow`.
     void dirtyFlowCascade(model::FlowId flow);
-    /// warmStart widening: every flow, node and link is dirty.
+    /// warmStart/restore widening: every flow, node and link is dirty.
     void markAllDirty();
     void noteConvergenceReset();
 
@@ -253,9 +237,40 @@ private:
     std::vector<double> class_utility_term_;
     /// Per-worker greedy ranking buffers.
     std::vector<std::unique_ptr<NodeScratch>> node_scratch_;
-    /// Dirty bits, cached node rankings/outputs, cached link usage and
-    /// the cached utility sum; null unless EngineConfig::incremental.
-    std::unique_ptr<IncrementalState> inc_;
+
+    // -- dirty-set tracking -----------------------------------------------
+    // Write discipline (this is what keeps the phases race-free and the
+    // trajectory bitwise-deterministic for any thread count): every array
+    // is either written serially between the phase barriers (the seed /
+    // propagate / clear steps in step() and the dynamic ops), or written
+    // inside a phase strictly per-entity by the one chunk that owns the
+    // entity.  Phases read only bits that were last written before their
+    // barrier, so no atomics are needed and TSan stays quiet.
+
+    /// Dirty bits, consumed (and cleared) by the named phase.
+    std::vector<std::uint8_t> flow_dirty_;  ///< phase 1 re-solves these
+    std::vector<std::uint8_t> node_dirty_;  ///< phase 2 re-ranks and re-admits these
+    std::vector<std::uint8_t> link_dirty_;  ///< phase 3 re-sums these
+    /// Moved bits, produced by one iteration, seed the next.
+    std::vector<std::uint8_t> rate_moved_;        ///< phase 1 -> node/link dirt
+    std::vector<std::uint8_t> pop_moved_;         ///< phase 2 -> flow dirt (own flow)
+    std::vector<std::uint8_t> node_price_moved_;  ///< phase 2 -> flow dirt (flows at node)
+    std::vector<std::uint8_t> link_price_moved_;  ///< phase 3 -> flow dirt (flows on link)
+    /// Eq. 12 inputs of each node's last admission, fed to the price
+    /// update when the node is clean.
+    std::vector<double> node_used_;
+    std::vector<std::optional<double>> node_unmet_bc_;
+    /// Each link's last usage sum, fed to Eq. 13 when the link is clean.
+    std::vector<double> link_usage_;
+    double cached_utility_ = 0.0;  ///< the last Eq. 1 sum
+
+    /// This iteration's dirty-set sizes, counted serially before the
+    /// phase that consumes each set.
+    std::size_t dirty_flows_now_ = 0;     ///< active dirty flows entering phase 1
+    std::size_t skipped_solves_now_ = 0;  ///< active clean flows entering phase 1
+    std::size_t dirty_nodes_now_ = 0;     ///< nodes re-admitting this iteration
+    std::size_t dirty_links_now_ = 0;     ///< links re-summing usage
+    IncrementalStats stats_;
 };
 
 }  // namespace lrgp::core

@@ -144,9 +144,6 @@ IncrementalInstruments IncrementalInstruments::resolve(Registry& registry) {
     instruments.node_cache_hits = &registry.counter(
         "lrgp_inc_node_cache_hits_total",
         "Nodes skipped entirely: cached populations, usage and BC(b,t) reused");
-    instruments.rank_cache_hits = &registry.counter(
-        "lrgp_inc_rank_cache_hits_total",
-        "Node re-admissions that reused the cached benefit-cost ordering (no re-rank)");
     instruments.dirty_links = &registry.counter(
         "lrgp_inc_dirty_links_total", "Links whose usage sum was recomputed (dirty incident rates)");
     instruments.utility_cache_hits = &registry.counter(

@@ -98,16 +98,14 @@ struct FastpathInstruments {
     static FastpathInstruments resolve(Registry& registry);
 };
 
-/// Dirty-set bookkeeping of the incremental engine
-/// (ParallelLrgpEngine with EngineConfig::incremental).  Counters, not
-/// gauges: per-iteration dirty-set sizes are the deltas, and the totals
-/// divide by lrgp_iterations_total for averages.
+/// Dirty-set bookkeeping of ParallelLrgpEngine (the "incremental"
+/// engine).  Counters, not gauges: per-iteration dirty-set sizes are the
+/// deltas, and the totals divide by lrgp_iterations_total for averages.
 struct IncrementalInstruments {
     Counter* dirty_flows = nullptr;     ///< lrgp_inc_dirty_flows_total (rate solves re-run)
     Counter* skipped_solves = nullptr;  ///< lrgp_inc_skipped_solves_total (active flows skipped)
     Counter* dirty_nodes = nullptr;     ///< lrgp_inc_dirty_nodes_total (nodes re-admitted)
     Counter* node_cache_hits = nullptr; ///< lrgp_inc_node_cache_hits_total (nodes fully skipped)
-    Counter* rank_cache_hits = nullptr; ///< lrgp_inc_rank_cache_hits_total (cached ranking reused)
     Counter* dirty_links = nullptr;     ///< lrgp_inc_dirty_links_total (link usages recomputed)
     Counter* utility_cache_hits = nullptr; ///< lrgp_inc_utility_cache_hits_total (Eq. 1 sum reused)
 

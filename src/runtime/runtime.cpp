@@ -272,11 +272,8 @@ void AsyncShardRuntime::buildAgents(shard::SubproblemSet sub, const core::LrgpOp
         if (ms.spec.has_value()) {
             agent->pristine = *ms.spec;  // cold-restart copy
             agent->has_engine = true;
-            core::EngineConfig config;
-            config.threads = 1;
-            config.incremental = true;
             agent->engine = std::make_unique<core::ParallelLrgpEngine>(
-                std::move(*ms.spec), options, config);
+                std::move(*ms.spec), options, core::EngineConfig{.threads = 1});
             agent->published.store(agent->engine->currentUtility(), std::memory_order_relaxed);
         }
         agent->peers.resize(static_cast<std::size_t>(count));
@@ -509,11 +506,8 @@ void AsyncShardRuntime::restartAgent(Agent& agent, double now) {
             ++agent.counters.snapshot_restores;
         } else {
             // No checkpoint yet: cold start from the pristine subproblem.
-            core::EngineConfig config;
-            config.threads = 1;
-            config.incremental = true;
             agent.engine = std::make_unique<core::ParallelLrgpEngine>(
-                agent.pristine, agent.engine_options, config);
+                agent.pristine, agent.engine_options, core::EngineConfig{.threads = 1});
         }
         agent.published.store(agent.engine->currentUtility(), std::memory_order_relaxed);
     }

@@ -83,8 +83,7 @@ void ShardedLrgpEngine::buildMembers(std::vector<MemberSpec> specs) {
         member.own_links = std::move(ms.own_links);
         if (ms.spec.has_value())
             member.engine = std::make_unique<core::ParallelLrgpEngine>(
-                std::move(*ms.spec), options_,
-                core::EngineConfig{.threads = 1, .incremental = true});
+                std::move(*ms.spec), options_, core::EngineConfig{.threads = 1});
         members_[s] = std::move(member);
     }
 }
@@ -509,18 +508,11 @@ constexpr std::pair<std::string_view, EngineBuilder> kEngines[] = {
         int) -> std::unique_ptr<core::Engine> {
          return std::make_unique<core::LrgpOptimizer>(std::move(spec), std::move(options));
      }},
-    {"compiled",
-     [](model::ProblemSpec spec, core::LrgpOptions options, int threads,
-        int) -> std::unique_ptr<core::Engine> {
-         return std::make_unique<core::ParallelLrgpEngine>(
-             std::move(spec), std::move(options), core::EngineConfig{.threads = threads});
-     }},
     {"incremental",
      [](model::ProblemSpec spec, core::LrgpOptions options, int threads,
         int) -> std::unique_ptr<core::Engine> {
          return std::make_unique<core::ParallelLrgpEngine>(
-             std::move(spec), std::move(options),
-             core::EngineConfig{.threads = threads, .incremental = true});
+             std::move(spec), std::move(options), core::EngineConfig{.threads = threads});
      }},
     {"sharded",
      [](model::ProblemSpec spec, core::LrgpOptions options, int threads,

@@ -210,13 +210,13 @@ private:
 };
 
 /// Builds an engine by name: "serial" (LrgpOptimizer, the reference),
-/// "compiled" and "incremental" (ParallelLrgpEngine) or "sharded" (this
-/// engine).  `threads` is the compiled engines' worker count and the
-/// sharded engine's pool size (0 = hardware concurrency; serial ignores
-/// it); `shards` is read by "sharded" only.  Any other name throws
+/// "incremental" (ParallelLrgpEngine) or "sharded" (this engine).
+/// `threads` is ParallelLrgpEngine's worker count and the sharded
+/// engine's pool size (0 = hardware concurrency; serial ignores it);
+/// `shards` is read by "sharded" only.  Any other name throws
 /// std::invalid_argument listing the accepted names.  It lives here, not
 /// in src/lrgp, because src/shard is the lowest library that links all
-/// four engines.
+/// three engines.
 [[nodiscard]] std::unique_ptr<core::Engine> make_engine(std::string_view name,
                                                         model::ProblemSpec spec,
                                                         core::LrgpOptions options = {},

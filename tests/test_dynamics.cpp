@@ -77,9 +77,9 @@ TEST(Dynamics, WarmStartReconvergesFasterAfterSmallChange) {
                 0.01 * cold.currentUtility());
 }
 
-/// The five engine configurations shard::make_engine builds.
+/// The four engine configurations shard::make_engine builds.
 const std::pair<std::string, int> kEngines[] = {
-    {"serial", 1}, {"compiled", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
+    {"serial", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
 
 TEST(Dynamics, WarmStartValidatesSizes) {
     // Mis-sized vectors, NaN, infinite or negative prices and negative

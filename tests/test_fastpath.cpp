@@ -367,7 +367,7 @@ TEST(Fastpath, FanoutCellRunsSeventyFiveSecondsWithoutDrops) {
     cell.seed = 1;
     const scenario::ScenarioSpec spec = scenario::build_scenario(cell);
     core::ParallelLrgpEngine engine(spec.problem, core::LrgpOptions{},
-                                    core::EngineConfig{.threads = 1, .incremental = true});
+                                    core::EngineConfig{.threads = 1});
     engine.runUntilConverged(4000);
 
     fastpath::Fastpath fp(spec.problem);

@@ -129,7 +129,7 @@ TEST(Golden, IncrementalPrometheusText) {
     // series with the measured counts.
     const auto t = test::make_tiny_problem();
     obs::Registry live;
-    core::ParallelLrgpEngine engine(t.spec, {}, {.threads = 1, .incremental = true});
+    core::ParallelLrgpEngine engine(t.spec, {}, {.threads = 1});
     engine.attachObservability(&live);
     engine.run(12);
 
@@ -139,7 +139,6 @@ TEST(Golden, IncrementalPrometheusText) {
     inc.skipped_solves->add(live.counterValue("lrgp_inc_skipped_solves_total"));
     inc.dirty_nodes->add(live.counterValue("lrgp_inc_dirty_nodes_total"));
     inc.node_cache_hits->add(live.counterValue("lrgp_inc_node_cache_hits_total"));
-    inc.rank_cache_hits->add(live.counterValue("lrgp_inc_rank_cache_hits_total"));
     inc.dirty_links->add(live.counterValue("lrgp_inc_dirty_links_total"));
     inc.utility_cache_hits->add(live.counterValue("lrgp_inc_utility_cache_hits_total"));
     check_golden("prometheus_inc_text", reg.prometheusText());

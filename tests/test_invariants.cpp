@@ -170,36 +170,33 @@ TEST(PropertyInvariants, DynamicChangesPreserveInvariants) {
 }
 
 TEST(PropertyInvariants, ParallelEngineInvariantsAndBitwiseParity) {
-    // The compiled parallel engine — in both full and incremental mode —
-    // satisfies the same invariants and is bitwise identical to the
-    // serial optimizer on every trajectory.
+    // The parallel engine, at two thread counts per seed, satisfies the
+    // same invariants and is bitwise identical to the serial optimizer on
+    // every trajectory.
     for (std::uint32_t seed = 1; seed <= 60; ++seed) {
         const model::ProblemSpec spec =
             workload::make_random_workload(options_for_seed(seed));
         core::LrgpOptimizer serial(spec);
-        core::EngineConfig config;
-        config.threads = (seed % 3) + 1;
-        core::ParallelLrgpEngine engine(spec, {}, config);
-        config.threads = ((seed + 1) % 3) + 1;
-        config.incremental = true;
-        core::ParallelLrgpEngine incremental(spec, {}, config);
+        core::ParallelLrgpEngine engine(spec, {}, {.threads = static_cast<int>(seed % 3) + 1});
+        core::ParallelLrgpEngine twin(spec, {},
+                                      {.threads = static_cast<int>((seed + 1) % 3) + 1});
         for (int i = 0; i < kIterations; ++i) {
             const core::IterationRecord& s = serial.step();
             const core::IterationRecord& p = engine.step();
-            const core::IterationRecord& q = incremental.step();
+            const core::IterationRecord& q = twin.step();
             ASSERT_EQ(s.utility, p.utility) << "seed " << seed << " iter " << i;
             ASSERT_EQ(s.allocation.rates, p.allocation.rates) << "seed " << seed;
             ASSERT_EQ(s.allocation.populations, p.allocation.populations) << "seed " << seed;
             ASSERT_EQ(s.prices.node, p.prices.node) << "seed " << seed;
             ASSERT_EQ(s.prices.link, p.prices.link) << "seed " << seed;
-            ASSERT_EQ(s.utility, q.utility) << "inc seed " << seed << " iter " << i;
-            ASSERT_EQ(s.allocation.rates, q.allocation.rates) << "inc seed " << seed;
-            ASSERT_EQ(s.allocation.populations, q.allocation.populations) << "inc seed " << seed;
-            ASSERT_EQ(s.prices.node, q.prices.node) << "inc seed " << seed;
-            ASSERT_EQ(s.prices.link, q.prices.link) << "inc seed " << seed;
+            ASSERT_EQ(s.utility, q.utility) << "twin seed " << seed << " iter " << i;
+            ASSERT_EQ(s.allocation.rates, q.allocation.rates) << "twin seed " << seed;
+            ASSERT_EQ(s.allocation.populations, q.allocation.populations) << "twin seed " << seed;
+            ASSERT_EQ(s.prices.node, q.prices.node) << "twin seed " << seed;
+            ASSERT_EQ(s.prices.link, q.prices.link) << "twin seed " << seed;
         }
         check_allocation_invariants(spec, engine.step(), seed);
-        check_allocation_invariants(spec, incremental.step(), seed);
+        check_allocation_invariants(spec, twin.step(), seed);
     }
 }
 
@@ -234,7 +231,7 @@ TEST(PropertyAdversarialOps, EveryEngineStaysFiniteInRangeAndFeasible) {
     // iteration after each capacity op: the first one still computes its
     // rates from the prices of before the op.
     const std::pair<std::string, int> engines[] = {
-        {"serial", 1}, {"compiled", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
+        {"serial", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
     constexpr int kPhase = 30;  ///< iterations after each op
 
     const model::ProblemSpec spec = workload::make_base_workload();
@@ -275,13 +272,12 @@ TEST(PropertyAdversarialOps, EveryEngineStaysFiniteInRangeAndFeasible) {
 }
 
 TEST(PropertyDifferential, ThreeEnginesAgreeOnSeededWorkloads) {
-    // Differential oracle: the serial optimizer, the parallel engine
-    // (full and incremental) and the lossless synchronous distributed
-    // protocol implement the same iteration; their utility trajectories
-    // must coincide.  Serial vs parallel is a bitwise contract; the
-    // distributed protocol computes the same arithmetic from
-    // message-carried state, so its per-round utilities match to
-    // double-equality.
+    // Differential oracle: the serial optimizer, the parallel engine and
+    // the lossless synchronous distributed protocol implement the same
+    // iteration; their utility trajectories must coincide.  Serial vs
+    // parallel is a bitwise contract; the distributed protocol computes
+    // the same arithmetic from message-carried state, so its per-round
+    // utilities match to double-equality.
     for (std::uint32_t seed = 1; seed <= kDifferentialSeeds; ++seed) {
         workload::RandomWorkloadOptions opt = options_for_seed(seed);
         // Sync rounds cost sim events proportional to hops; keep the
@@ -292,26 +288,18 @@ TEST(PropertyDifferential, ThreeEnginesAgreeOnSeededWorkloads) {
         core::LrgpOptimizer serial(spec);
         serial.run(20);
 
-        core::EngineConfig config;
-        config.threads = 2;
-        core::ParallelLrgpEngine parallel(spec, {}, config);
+        core::ParallelLrgpEngine parallel(spec, {}, {.threads = 2});
         parallel.run(20);
-
-        config.incremental = true;
-        core::ParallelLrgpEngine incremental(spec, {}, config);
-        incremental.run(20);
 
         dist::DistLrgp distributed(spec, dist::DistOptions{});
         distributed.runRounds(20);
 
         const auto& st = serial.utilityTrace();
         const auto& pt = parallel.utilityTrace();
-        const auto& it = incremental.utilityTrace();
         const auto& dt = distributed.utilityTrace();
         ASSERT_GE(dt.size(), 20u) << "seed " << seed;
         for (std::size_t i = 0; i < 20; ++i) {
             EXPECT_EQ(st[i], pt[i]) << "seed " << seed << " iter " << i;
-            EXPECT_EQ(st[i], it[i]) << "seed " << seed << " iter " << i;
             EXPECT_DOUBLE_EQ(st[i], dt[i]) << "seed " << seed << " round " << i + 1;
         }
     }

@@ -190,7 +190,7 @@ TEST(ObsIntegration, ParallelEngineStaysBitwiseWithObsAttached) {
     const auto spec = workload::make_base_workload();
     constexpr int kAttachedSteps = 20;
     const std::pair<std::string, int> engines[] = {
-        {"serial", 1}, {"compiled", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
+        {"serial", 1}, {"incremental", 1}, {"sharded", 1}, {"sharded", 4}};
     for (const auto& [name, shards] : engines) {
         SCOPED_TRACE(name + " x" + std::to_string(shards));
         const auto plain = shard::make_engine(name, spec, {}, 3, shards);
@@ -216,7 +216,7 @@ TEST(ObsIntegration, ParallelEngineStaysBitwiseWithObsAttached) {
         const char* steps = name == "sharded" ? "lrgp_shard_steps_total" : "lrgp_iterations_total";
         EXPECT_EQ(reg.counterValue(steps), static_cast<std::uint64_t>(kAttachedSteps));
         EXPECT_FALSE(tracer.events().empty());
-        if (name == "compiled") {
+        if (name == "incremental") {
             EXPECT_GE(reg.counterValue("lrgp_pool_jobs_total"), 1u);
             const obs::Histogram* fanout = reg.findHistogram("lrgp_pool_fanout_chunks");
             ASSERT_NE(fanout, nullptr);

@@ -43,9 +43,7 @@ void run_lockstep(core::LrgpOptimizer& serial,
         mutate_all(it);
         const auto& s = serial.step();
         for (core::ParallelLrgpEngine* engine : engines) {
-            SCOPED_TRACE(testing::Message()
-                         << (engine->incremental() ? "incremental" : "full") << " engine, "
-                         << engine->threadCount() << " threads");
+            SCOPED_TRACE(testing::Message() << "engine at " << engine->threadCount() << " threads");
             expect_identical(s, engine->step());
             if (testing::Test::HasFatalFailure()) return;
         }
@@ -80,8 +78,7 @@ TEST(ParallelEngine, RandomWorkloadsBitwiseIdenticalWithPerturbations) {
 
         core::LrgpOptimizer serial(spec);
         core::ParallelLrgpEngine engine(spec, {}, {.threads = kThreadCycle[seed % 3]});
-        core::ParallelLrgpEngine incremental(
-            spec, {}, {.threads = kThreadCycle[(seed + 1) % 3], .incremental = true});
+        core::ParallelLrgpEngine twin(spec, {}, {.threads = kThreadCycle[(seed + 1) % 3]});
 
         const model::FlowId victim{0};
         const model::NodeId squeezed{static_cast<std::uint32_t>(spec.nodeCount() - 1)};
@@ -89,27 +86,27 @@ TEST(ParallelEngine, RandomWorkloadsBitwiseIdenticalWithPerturbations) {
         const double new_capacity = spec.node(squeezed).capacity * 0.8;
         const int new_max = spec.consumerClass(shrunk).max_consumers / 2;
 
-        run_lockstep(serial, {&engine, &incremental}, kIterations, [&](int it) {
+        run_lockstep(serial, {&engine, &twin}, kIterations, [&](int it) {
             switch (it) {
                 case 60:
                     serial.removeFlow(victim);
                     engine.removeFlow(victim);
-                    incremental.removeFlow(victim);
+                    twin.removeFlow(victim);
                     break;
                 case 90:
                     serial.restoreFlow(victim);
                     engine.restoreFlow(victim);
-                    incremental.restoreFlow(victim);
+                    twin.restoreFlow(victim);
                     break;
                 case 120:
                     serial.setNodeCapacity(squeezed, new_capacity);
                     engine.setNodeCapacity(squeezed, new_capacity);
-                    incremental.setNodeCapacity(squeezed, new_capacity);
+                    twin.setNodeCapacity(squeezed, new_capacity);
                     break;
                 case 140:
                     serial.setClassMaxConsumers(shrunk, new_max);
                     engine.setClassMaxConsumers(shrunk, new_max);
-                    incremental.setClassMaxConsumers(shrunk, new_max);
+                    twin.setClassMaxConsumers(shrunk, new_max);
                     break;
                 case 160: {
                     // Same synthetic warm start applied to all sides.
@@ -119,7 +116,7 @@ TEST(ParallelEngine, RandomWorkloadsBitwiseIdenticalWithPerturbations) {
                     std::vector<int> pops(spec.classCount(), 1);
                     serial.warmStart(warm, &pops);
                     engine.warmStart(warm, &pops);
-                    incremental.warmStart(warm, &pops);
+                    twin.warmStart(warm, &pops);
                     break;
                 }
                 default: break;
@@ -146,24 +143,19 @@ TEST(ParallelEngine, RunUntilConvergedParity) {
     const model::ProblemSpec spec = workload::make_base_workload();
     core::LrgpOptimizer serial(spec);
     core::ParallelLrgpEngine engine(spec, {}, {.threads = 2});
-    core::ParallelLrgpEngine incremental(spec, {}, {.threads = 2, .incremental = true});
     const auto s = serial.runUntilConverged(2000);
     const auto e = engine.runUntilConverged(2000);
-    const auto i = incremental.runUntilConverged(2000);
     EXPECT_EQ(s, e);
-    EXPECT_EQ(s, i);
     EXPECT_EQ(serial.iterationsRun(), engine.iterationsRun());
-    EXPECT_EQ(serial.iterationsRun(), incremental.iterationsRun());
     EXPECT_EQ(serial.currentUtility(), engine.currentUtility());
-    EXPECT_EQ(serial.currentUtility(), incremental.currentUtility());
 }
 
 TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
     // Fault-replay style schedule: a seeded RNG drives random dynamic ops
     // (flow churn, capacity changes, class ceiling changes, warm starts)
     // at random iterations.  The same schedule is applied to the serial
-    // optimizer and the incremental engine; the dirty sets must widen
-    // conservatively enough to keep every trajectory bitwise identical.
+    // optimizer and the engine; the dirty sets must widen conservatively
+    // enough to keep every trajectory bitwise identical.
     constexpr int kSeeds = 12;
     constexpr int kIterations = 150;
     for (int seed = 1; seed <= kSeeds; ++seed) {
@@ -174,19 +166,18 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
         const model::ProblemSpec spec = workload::make_random_workload(options);
 
         core::LrgpOptimizer serial(spec);
-        core::ParallelLrgpEngine incremental(
-            spec, {}, {.threads = 1 + seed % 4, .incremental = true});
+        core::ParallelLrgpEngine engine(spec, {}, {.threads = 1 + seed % 4});
 
         std::mt19937 rng(static_cast<std::uint32_t>(seed) * 7919u);
         std::vector<bool> active(spec.flowCount(), true);
-        run_lockstep(serial, incremental, kIterations, [&](int) {
+        run_lockstep(serial, engine, kIterations, [&](int) {
             if (rng() % 10 != 0) return;  // ~15 ops over the run
             switch (rng() % 5) {
                 case 0: {  // crash a random active flow
                     const std::size_t f = rng() % spec.flowCount();
                     if (!active[f]) break;
                     serial.removeFlow(model::FlowId{static_cast<std::uint32_t>(f)});
-                    incremental.removeFlow(model::FlowId{static_cast<std::uint32_t>(f)});
+                    engine.removeFlow(model::FlowId{static_cast<std::uint32_t>(f)});
                     active[f] = false;
                     break;
                 }
@@ -194,7 +185,7 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
                     const std::size_t f = rng() % spec.flowCount();
                     if (active[f]) break;
                     serial.restoreFlow(model::FlowId{static_cast<std::uint32_t>(f)});
-                    incremental.restoreFlow(model::FlowId{static_cast<std::uint32_t>(f)});
+                    engine.restoreFlow(model::FlowId{static_cast<std::uint32_t>(f)});
                     active[f] = true;
                     break;
                 }
@@ -204,7 +195,7 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
                     const model::NodeId node{static_cast<std::uint32_t>(b)};
                     const double capacity = serial.problem().node(node).capacity * scale;
                     serial.setNodeCapacity(node, capacity);
-                    incremental.setNodeCapacity(node, capacity);
+                    engine.setNodeCapacity(node, capacity);
                     break;
                 }
                 case 3: {  // shrink or restore a random class ceiling
@@ -213,7 +204,7 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
                     const int original = spec.consumerClass(cls).max_consumers;
                     const int ceiling = static_cast<int>(rng() % (original + 1));
                     serial.setClassMaxConsumers(cls, ceiling);
-                    incremental.setClassMaxConsumers(cls, ceiling);
+                    engine.setClassMaxConsumers(cls, ceiling);
                     break;
                 }
                 default: {  // warm start both from perturbed prices
@@ -221,7 +212,7 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
                     for (double& p : warm.node) p *= 0.75;
                     for (double& p : warm.link) p *= 0.75;
                     serial.warmStart(warm);
-                    incremental.warmStart(warm);
+                    engine.warmStart(warm);
                     break;
                 }
             }
@@ -232,8 +223,8 @@ TEST(ParallelEngine, IncrementalChaosReplayMatchesSerial) {
 
 TEST(ParallelEngine, IncrementalSteadyWorkloadEngagesCaches) {
     // A headroom workload (large node capacity, low rate cap) reaches a
-    // floating-point fixpoint quickly; once there, the incremental engine
-    // must actually skip — rate solves, node admissions and the utility
+    // floating-point fixpoint quickly; once there, the engine must
+    // actually skip — rate solves, node admissions and the utility
     // reduction — while staying bitwise identical to the serial optimizer.
     workload::WorkloadOptions options;
     options.flow_replicas = 2;
@@ -243,11 +234,10 @@ TEST(ParallelEngine, IncrementalSteadyWorkloadEngagesCaches) {
     const model::ProblemSpec spec = workload::make_scaled_workload(options);
 
     core::LrgpOptimizer serial(spec);
-    core::ParallelLrgpEngine incremental(spec, {}, {.threads = 2, .incremental = true});
-    EXPECT_TRUE(incremental.incremental());
-    run_lockstep(serial, incremental, 300);
+    core::ParallelLrgpEngine engine(spec, {}, {.threads = 2});
+    run_lockstep(serial, engine, 300);
 
-    const core::IncrementalStats stats = incremental.incrementalStats();
+    const core::IncrementalStats stats = engine.incrementalStats();
     EXPECT_GT(stats.skipped_solves, 0u) << "no rate solve was ever skipped";
     EXPECT_GT(stats.node_cache_hits, 0u) << "no node admission was ever skipped";
     EXPECT_GT(stats.utility_cache_hits, 0u) << "the Eq. 1 sum was never reused";
@@ -260,37 +250,14 @@ TEST(ParallelEngine, IncrementalSteadyWorkloadEngagesCaches) {
     // Past the fixpoint every iteration is pure reuse, counted exactly:
     // no rate solve, no admission, no link sum, and the cached Eq. 1 sum.
     constexpr std::uint64_t kTail = 100;
-    run_lockstep(serial, incremental, static_cast<int>(kTail));
-    const core::IncrementalStats tail = incremental.incrementalStats();
+    run_lockstep(serial, engine, static_cast<int>(kTail));
+    const core::IncrementalStats tail = engine.incrementalStats();
     EXPECT_EQ(tail.dirty_flows - stats.dirty_flows, 0u);
     EXPECT_EQ(tail.skipped_solves - stats.skipped_solves, kTail * spec.flowCount());
     EXPECT_EQ(tail.dirty_nodes - stats.dirty_nodes, 0u);
     EXPECT_EQ(tail.node_cache_hits - stats.node_cache_hits, kTail * spec.nodeCount());
-    EXPECT_EQ(tail.rank_cache_hits - stats.rank_cache_hits, 0u);
     EXPECT_EQ(tail.dirty_links - stats.dirty_links, 0u);
     EXPECT_EQ(tail.utility_cache_hits - stats.utility_cache_hits, kTail);
-}
-
-TEST(ParallelEngine, IncrementalRankCacheReusedOnCapacityOnlyChange) {
-    // setNodeCapacity dirties only the admission result, not the ranking:
-    // the re-admission must reuse the cached benefit-cost ordering (a
-    // rank cache hit) and still match the serial optimizer bitwise.  The
-    // headroom workload quiesces, so no rate move re-dirties the rank.
-    workload::WorkloadOptions options;
-    options.node_capacity = 3.0e7;
-    options.rate_max = 60.0;
-    const model::ProblemSpec spec = workload::make_scaled_workload(options);
-    core::LrgpOptimizer serial(spec);
-    core::ParallelLrgpEngine incremental(spec, {}, {.threads = 2, .incremental = true});
-    run_lockstep(serial, incremental, 120);
-    const std::uint64_t rank_hits_before = incremental.incrementalStats().rank_cache_hits;
-
-    const model::NodeId squeezed = workload::find_node(spec, "r0_S1");
-    const double capacity = spec.node(squeezed).capacity * 0.9;
-    serial.setNodeCapacity(squeezed, capacity);
-    incremental.setNodeCapacity(squeezed, capacity);
-    run_lockstep(serial, incremental, 40);
-    EXPECT_GT(incremental.incrementalStats().rank_cache_hits, rank_hits_before);
 }
 
 TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
@@ -303,7 +270,7 @@ TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
     options.rate_max = 60.0;
     const model::ProblemSpec spec = workload::make_scaled_workload(options);
     core::LrgpOptimizer serial(spec);
-    core::ParallelLrgpEngine engine(spec, {}, {.threads = 2, .incremental = true});
+    core::ParallelLrgpEngine engine(spec, {}, {.threads = 2});
     run_lockstep(serial, engine, 120);
     const core::IncrementalStats before = engine.incrementalStats();
 
@@ -319,21 +286,6 @@ TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
     EXPECT_EQ(after.node_cache_hits - before.node_cache_hits, spec.nodeCount() - 1);
 
     run_lockstep(serial, engine, 40);
-}
-
-TEST(ParallelEngine, IncrementalStatsStayZeroWhenDisabled) {
-    const model::ProblemSpec spec = workload::make_base_workload();
-    core::ParallelLrgpEngine engine(spec, {}, {.threads = 2});
-    EXPECT_FALSE(engine.incremental());
-    engine.run(25);
-    const core::IncrementalStats stats = engine.incrementalStats();
-    EXPECT_EQ(stats.dirty_flows, 0u);
-    EXPECT_EQ(stats.skipped_solves, 0u);
-    EXPECT_EQ(stats.dirty_nodes, 0u);
-    EXPECT_EQ(stats.node_cache_hits, 0u);
-    EXPECT_EQ(stats.rank_cache_hits, 0u);
-    EXPECT_EQ(stats.dirty_links, 0u);
-    EXPECT_EQ(stats.utility_cache_hits, 0u);
 }
 
 TEST(ParallelEngine, ShiftedLogUsesFastPathAndMatches) {

@@ -162,8 +162,7 @@ TEST(Pruning, NoOpPruneReproducesUnprunedTrajectoryBitwise) {
             ++noop_instances;
             core::LrgpOptimizer on_spec(spec);
             core::LrgpOptimizer on_pruned(pruned);
-            core::ParallelLrgpEngine inc_on_pruned(
-                pruned, {}, {.threads = 2, .incremental = true});
+            core::ParallelLrgpEngine inc_on_pruned(pruned, {}, {.threads = 2});
             for (int i = 0; i < 40; ++i) {
                 const core::IterationRecord& a = on_spec.step();
                 const core::IterationRecord& b = on_pruned.step();

@@ -261,7 +261,7 @@ TEST(ShardBudget, RebalanceValidates) {
 
 TEST(ShardedEngineParity, StepLockstepIsBitwiseIdentical) {
     const model::ProblemSpec spec = workload::make_federated_workload(small_options());
-    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
     shard::ShardedLrgpEngine sharded(spec, {}, config_for(1));
     for (int i = 0; i < 30; ++i) {
         const core::IterationRecord& a = mono.step();
@@ -273,7 +273,7 @@ TEST(ShardedEngineParity, StepLockstepIsBitwiseIdentical) {
 
 TEST(ShardedEngineParity, RunUntilConvergedMatchesReturnAndState) {
     const model::ProblemSpec spec = workload::make_federated_workload(small_options(7));
-    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
     shard::ShardedLrgpEngine sharded(spec, {}, config_for(1));
     const std::optional<int> a = mono.runUntilConverged(400);
     const std::optional<int> b = sharded.runUntilConverged(400);
@@ -286,7 +286,7 @@ TEST(ShardedEngineParity, RunUntilConvergedMatchesReturnAndState) {
 TEST(ShardedEngineParity, DynamicOpsStayInLockstep) {
     const auto opt = small_options(3);
     const model::ProblemSpec spec = workload::make_federated_workload(opt);
-    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
     shard::ShardedLrgpEngine sharded(spec, {}, config_for(1));
     mono.run(10);
     sharded.run(10);
@@ -319,7 +319,7 @@ TEST(ShardedEngine, SeededSweepGapWithinOnePercent) {
         for (bool coupled : {false, true}) {
             const model::ProblemSpec spec = workload::make_federated_workload(
                 coupled ? coupled_options(seed) : small_options(seed));
-            core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+            core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
             mono.runUntilConverged(400);
             const double reference = mono.currentUtility();
             for (int k : {2, 4, 8}) {
@@ -405,7 +405,7 @@ TEST(ShardedEngine, DynamicOpLandsInOwningShardOnly) {
     for (int k : {4, 8}) {
         SCOPED_TRACE("K=" + std::to_string(k));
         shard::ShardedLrgpEngine steady(spec, {}, config_for(k));
-        core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+        core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
         ASSERT_TRUE(steady.runUntilConverged(400).has_value());
         ASSERT_TRUE(mono.runUntilConverged(400).has_value());
         const int group_owner = steady.shardOfFlow(victim);
@@ -431,7 +431,7 @@ TEST(ShardedEngine, BoundaryCapacityChangeResplitsAndReconverges) {
     // Two references for the squeezed optimum: the monolithic
     // incremental engine driven through the same squeeze, and an engine
     // built fresh at the squeezed capacity (same K).
-    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1, .incremental = true});
+    core::ParallelLrgpEngine mono(spec, {}, {.threads = 1});
     ASSERT_TRUE(mono.runUntilConverged(600).has_value());
     mono.setNodeCapacity(hub, squeezed);
     ASSERT_TRUE(mono.runUntilConverged(600).has_value());
@@ -553,7 +553,7 @@ TEST(ShardedEngine, ValidatesConfigAndArguments) {
 
 TEST(EngineFactory, BuildsEveryAcceptedName) {
     const model::ProblemSpec spec = workload::make_federated_workload(small_options());
-    for (const char* name : {"serial", "compiled", "incremental"}) {
+    for (const char* name : {"serial", "incremental"}) {
         const std::unique_ptr<core::Engine> engine = shard::make_engine(name, spec);
         EXPECT_EQ(std::string(engine->name()), name);
     }
@@ -567,16 +567,16 @@ TEST(EngineFactory, BuildsEveryAcceptedName) {
 
 TEST(EngineFactory, UnknownNamesListTheAcceptedOnes) {
     const model::ProblemSpec spec = workload::make_federated_workload(small_options());
-    // The retired vector engines' names and the empty name.
+    // The retired vector and compiled engines' names and the empty name.
     for (const std::string& name : {std::string("vector"), std::string("vector") + "_exact",
-                                    std::string()}) {
+                                    std::string("compiled"), std::string()}) {
         try {
             (void)shard::make_engine(name, spec);
             FAIL() << "built an engine for '" << name << "'";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("'" + name + "'"), std::string::npos)
                 << e.what();
-            EXPECT_NE(std::string(e.what()).find("serial, compiled, incremental, sharded"),
+            EXPECT_NE(std::string(e.what()).find("serial, incremental, sharded"),
                       std::string::npos)
                 << e.what();
         }

@@ -18,13 +18,6 @@ using namespace lrgp;
 using workload::make_random_workload;
 using workload::RandomWorkloadOptions;
 
-core::EngineConfig incremental_config() {
-    core::EngineConfig config;
-    config.threads = 1;
-    config.incremental = true;
-    return config;
-}
-
 /// The same mid-flight dynamic ops, applied to reference and donor alike.
 void apply_midflight_ops(core::ParallelLrgpEngine& engine, const model::ProblemSpec& spec) {
     const model::NodeId node{0};
@@ -47,9 +40,9 @@ TEST(SnapshotRoundTrip, BitwiseIdenticalResumeAcrossTwentySeeds) {
         const model::ProblemSpec spec = make_random_workload(options);
 
         // Reference: one uninterrupted run with dynamic ops mid-flight.
-        core::ParallelLrgpEngine reference(spec, {}, incremental_config());
+        core::ParallelLrgpEngine reference(spec, {}, {.threads = 1});
         // Donor: identical run, interrupted by a snapshot at iteration 40.
-        core::ParallelLrgpEngine donor(spec, {}, incremental_config());
+        core::ParallelLrgpEngine donor(spec, {}, {.threads = 1});
 
         for (int i = 0; i < 15; ++i) {
             reference.step();
@@ -66,7 +59,7 @@ TEST(SnapshotRoundTrip, BitwiseIdenticalResumeAcrossTwentySeeds) {
         // engine built from the pristine spec (the crash-recovery path:
         // the dynamic ops must come back from the snapshot, not the spec).
         const std::string bytes = donor.snapshot().serialize();
-        core::ParallelLrgpEngine restored(spec, {}, incremental_config());
+        core::ParallelLrgpEngine restored(spec, {}, {.threads = 1});
         restored.restore(core::EngineSnapshot::deserialize(bytes));
         ASSERT_EQ(restored.iterationsRun(), reference.iterationsRun()) << "seed " << seed;
 
@@ -109,8 +102,8 @@ TEST(SnapshotRoundTrip, RejectsShapeMismatch) {
     b_options.max_flows = 5;
     const auto a_spec = make_random_workload(a_options);
     const auto b_spec = make_random_workload(b_options);
-    core::ParallelLrgpEngine a(a_spec, {}, incremental_config());
-    core::ParallelLrgpEngine b(b_spec, {}, incremental_config());
+    core::ParallelLrgpEngine a(a_spec, {}, {.threads = 1});
+    core::ParallelLrgpEngine b(b_spec, {}, {.threads = 1});
     a.run(5);
     EXPECT_THROW(b.restore(a.snapshot()), std::invalid_argument);
 }
@@ -119,7 +112,7 @@ TEST(SnapshotRoundTrip, DeserializeRejectsCorruptedBytes) {
     RandomWorkloadOptions options;
     options.seed = 9;
     const auto spec = make_random_workload(options);
-    core::ParallelLrgpEngine engine(spec, {}, incremental_config());
+    core::ParallelLrgpEngine engine(spec, {}, {.threads = 1});
     engine.run(5);
     std::string bytes = engine.snapshot().serialize();
     EXPECT_THROW(core::EngineSnapshot::deserialize(bytes.substr(0, bytes.size() / 2)),
