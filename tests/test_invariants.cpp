@@ -252,12 +252,9 @@ TEST(PropertyAdversarialOps, EveryEngineStaysFiniteInRangeAndFeasible) {
         for (const model::FlowSpec& f : spec.flows()) engine->restoreFlow(f.id);
         phase(kPhase);
 
-        for (const model::NodeSpec& b : spec.nodes()) {
-            double floor = 0.0;
-            for (const model::FlowId i : spec.flowsAtNode(b.id))
-                floor += spec.flowNodeCost(b.id, i) * spec.flow(i).rate_min;
-            if (floor > 0.0) engine->setNodeCapacity(b.id, floor);
-        }
+        const std::vector<double> floors = spec.floors().node;
+        for (const model::NodeSpec& b : spec.nodes())
+            if (floors[b.id.index()] > 0.0) engine->setNodeCapacity(b.id, floors[b.id.index()]);
         phase(1);
         for (const model::NodeSpec& b : spec.nodes()) engine->setNodeCapacity(b.id, b.capacity);
         phase(1);
