@@ -1,7 +1,7 @@
 // The common engine interface over every LRGP iteration driver.
 //
-// LrgpOptimizer (serial reference), ParallelLrgpEngine (compiled /
-// parallel / incremental) and shard::ShardedLrgpEngine all implement the
+// LrgpOptimizer (serial reference), ParallelLrgpEngine (compiled,
+// parallel, incremental) and shard::ShardedLrgpEngine all implement the
 // same synchronous contract: step() advances one LRGP iteration, dynamic
 // ops apply between iterations, and the observers expose the published
 // allocation/price state.  The differential and property harnesses
@@ -63,9 +63,9 @@ public:
     Engine(const Engine&) = delete;
     Engine& operator=(const Engine&) = delete;
 
-    /// Short stable identifier ("serial", "compiled", "incremental",
-    /// "sharded"): the name shard::make_engine builds this engine from,
-    /// also used in logs, bench rows and test parametrization.
+    /// Short stable identifier ("serial", "incremental", "sharded"): the
+    /// name shard::make_engine builds this engine from, also used in
+    /// logs, bench rows and test parametrization.
     [[nodiscard]] virtual const char* name() const noexcept = 0;
 
     /// Runs one LRGP iteration and returns its record.

@@ -5,12 +5,12 @@
 // one: the allocation, the prices, the private state of every stateful
 // price controller (adaptive gamma, oscillation memory, moved bits),
 // the convergence detector's trailing window, and the spec's dynamic
-// state (flow active flags, capacities, class ceilings).  The dirty
-// sets and cached phase outputs of incremental mode are deliberately
-// NOT serialized: restore() marks everything dirty, and because every
-// skipped computation is a deterministic function of bitwise-unchanged
-// inputs, the full first post-restore iteration recomputes exactly the
-// values the caches held (the same argument that makes incremental mode
+// state (flow active flags, capacities, class ceilings).  The engine's
+// dirty sets and cached phase outputs are deliberately NOT serialized:
+// restore() marks everything dirty, and because every skipped
+// computation is a deterministic function of bitwise-unchanged inputs,
+// the full first post-restore iteration recomputes exactly the values
+// the caches held (the same argument that keeps the engine
 // bitwise-identical to the serial optimizer, docs/algorithm.md).
 //
 // serialize()/deserialize() use a little-endian binary layout with raw

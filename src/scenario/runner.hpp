@@ -5,7 +5,7 @@
 // DynamicOp schedule, optionally closing the loop through an enactment
 // policy into a message-level dataplane.
 //
-// Engines ("serial" | "compiled" | "incremental" | "sharded") advance
+// Engines ("serial" | "incremental" | "sharded") advance
 // one LRGP iteration per tick of scenario time; each DynamicOp applies
 // through the core::Engine interface just before the first tick at or
 // after its timestamp.  The "async" engine drives an AsyncShardRuntime
@@ -73,11 +73,11 @@ std::size_t replay(core::Engine& engine, const std::vector<DynamicOp>& schedule,
                    int ticks, const ReplayPlant* plant = nullptr);
 
 struct RunnerOptions {
-    /// Any name shard::make_engine accepts (serial | compiled |
-    /// incremental | sharded), or async for the AsyncShardRuntime.
+    /// Any name shard::make_engine accepts (serial | incremental |
+    /// sharded), or async for the AsyncShardRuntime.
     std::string engine = "incremental";
     int shards = 4;    ///< sharded shard count / async agent count
-    int threads = 1;   ///< compiled/incremental worker threads
+    int threads = 1;   ///< incremental/sharded worker threads
 
     bool with_dataplane = false;
 
