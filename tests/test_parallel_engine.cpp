@@ -127,15 +127,24 @@ TEST(ParallelEngine, RandomWorkloadsBitwiseIdenticalWithPerturbations) {
 }
 
 TEST(ParallelEngine, BaseWorkloadAllShapesMatchSerialTrace) {
+    // Frozen prices (zero stepsizes from a positive start) leave a
+    // population move as the only input that dirties a flow.
+    core::LrgpOptions frozen;
+    frozen.gamma = core::FixedGamma{0.0, 0.0};
+    frozen.initial_node_price = 1e-3;
     for (workload::UtilityShape shape :
          {workload::UtilityShape::kLog, workload::UtilityShape::kPow025,
           workload::UtilityShape::kPow05, workload::UtilityShape::kPow075}) {
-        SCOPED_TRACE(workload::shape_name(shape));
-        const model::ProblemSpec spec = workload::make_base_workload(shape);
-        core::LrgpOptimizer serial(spec);
-        core::ParallelLrgpEngine engine(spec, {}, {.threads = 4});
-        run_lockstep(serial, engine, 300);
-        EXPECT_EQ(serial.utilityTrace().samples(), engine.utilityTrace().samples());
+        for (const bool freeze : {false, true}) {
+            SCOPED_TRACE(testing::Message() << workload::shape_name(shape)
+                                            << (freeze ? ", frozen prices" : ""));
+            const core::LrgpOptions options = freeze ? frozen : core::LrgpOptions{};
+            const model::ProblemSpec spec = workload::make_base_workload(shape);
+            core::LrgpOptimizer serial(spec, options);
+            core::ParallelLrgpEngine engine(spec, options, {.threads = 4});
+            run_lockstep(serial, engine, 300);
+            EXPECT_EQ(serial.utilityTrace().samples(), engine.utilityTrace().samples());
+        }
     }
 }
 
