@@ -13,7 +13,8 @@
 //     of the flow attached at that hop                        -> PB_i
 //   * per-flow class spans      (classesOfFlow order)         -> Eq. 7 terms
 //   * per-node flow spans       (flow index, F cost)          -> base usage
-//   * per-node class spans      (classesAtNode order)         -> greedy
+//   * per-node class spans      (class, flow, G cost, n^max in
+//     classesAtNode order)                                    -> greedy
 //   * per-link flow spans       (flow index, L cost)          -> Eq. 13 usage
 //
 // Utility dispatch is also lowered: when every class of a flow shares a
@@ -26,7 +27,8 @@
 //
 // The small mutable surface (flow active flags, node capacities, class
 // consumer ceilings) mirrors the ProblemSpec setters so dynamic workload
-// changes do not force a recompile.
+// changes do not force a recompile.  A class's ceiling lives in its
+// node-class slot, the one place the greedy pass reads it.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +69,7 @@ public:
         link_capacity.at(id.index()) = capacity;
     }
     void setClassMaxConsumers(model::ClassId id, int max_consumers) {
-        class_max_consumers.at(id.index()) = max_consumers;
+        node_class_max_consumers.at(class_slot.at(id.index())) = max_consumers;
     }
 
     // -- per-flow scalars -------------------------------------------------
@@ -101,8 +103,9 @@ public:
     // -- per-class scalars ------------------------------------------------
     std::vector<std::uint32_t> class_flow;
     std::vector<std::uint32_t> class_node;
-    std::vector<int> class_max_consumers;
-    std::vector<double> class_gcost;  ///< G_{b,j}
+    /// The class's entry in the node-class arrays below.  They hold one
+    /// entry per class, so a slot fits a class id's width.
+    std::vector<std::uint32_t> class_slot;
     /// Base weight w_j when the class's family is closed-form; 0 otherwise.
     std::vector<double> class_weight;
     /// Precomputed w_j * k for the power-derivative fast path.
@@ -115,10 +118,15 @@ public:
     std::vector<std::size_t> node_flow_begin;  ///< size nodeCount()+1
     std::vector<std::uint32_t> node_flow_flow;
     std::vector<double> node_flow_fcost;
+    /// Node-class spans in classesAtNode order, node-major so the greedy
+    /// pass (Alg. 2) reads each node's inputs contiguously.
     std::vector<std::size_t> node_class_begin;  ///< size nodeCount()+1
     std::vector<std::uint32_t> node_class_class;
-    /// Widest node-class span; sizes per-worker scratch (greedy ranking,
-    /// the incremental engine's old-population snapshots) exactly.
+    std::vector<std::uint32_t> node_class_flow;
+    std::vector<double> node_class_gcost;  ///< G_{b,j}
+    std::vector<int> node_class_max_consumers;
+    /// Widest node-class span; sizes the engine's per-worker greedy
+    /// ranking buffers exactly.
     std::size_t max_classes_at_node = 0;
 
     // -- per-link spans ---------------------------------------------------

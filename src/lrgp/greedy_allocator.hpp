@@ -8,6 +8,8 @@
 // costs F alone exceed the capacity, no consumer is admitted.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <optional>
 #include <vector>
 
@@ -26,9 +28,9 @@ struct BenefitCost {
 
 /// Strict weak ordering shared by every benefit-cost ranking: descending
 /// ratio (Eq. 10), ties broken by ascending class id for determinism.
-/// The serial allocator, the compiled node phase, and the incremental
-/// engine's cached rankings all sort with this one definition, so a
-/// ranking cached across iterations is ordered exactly like a fresh one.
+/// It is a total order over a node's classes, so the serial allocator
+/// and ParallelLrgpEngine's node phase, which sorts starting from last
+/// iteration's order, reach the same permutation.
 struct BenefitCostOrder {
     template <class Cand>
     [[nodiscard]] bool operator()(const Cand& a, const Cand& b) const {
@@ -36,6 +38,32 @@ struct BenefitCostOrder {
         return a.cls < b.cls;
     }
 };
+
+/// Consumers one batched greedy step admits: the same count as the
+/// allocator's `remaining > 0 ? min(floor(remaining / u), n^max) : 0`,
+/// for u = G_{b,j} r_i > 0, n^max >= 0 and a remaining capacity that is
+/// not NaN, but without the division when its result is known:
+///
+///  * remaining > full = fl(n^max * u) means remaining >= succ(full) >
+///    n^max * u (round to nearest), so the real quotient exceeds n^max
+///    and the rounded one is at least n^max: admit n^max;
+///  * remaining < u (which includes remaining <= 0) means remaining <=
+///    pred(u), so the rounded quotient is at most 1 - 2^-53 and floors
+///    to 0: admit nothing.
+///
+/// Otherwise remaining >= u > 0, and the allocator's division runs
+/// unchanged.  `full` is the product the caller's `remaining -= n * u`
+/// forms when n is n^max, so the capacity left over is bitwise the
+/// allocator's too.  GreedyConsumerAllocator keeps the plain formula as
+/// the oracle.
+[[nodiscard]] inline int greedy_admit_count(double remaining, double unit_cost,
+                                            int max_consumers) noexcept {
+    const double full = static_cast<double>(max_consumers) * unit_cost;
+    if (remaining > full) return max_consumers;
+    if (remaining < unit_cost) return 0;
+    return static_cast<int>(
+        std::min(std::floor(remaining / unit_cost), static_cast<double>(max_consumers)));
+}
 
 /// Result of one node's consumer allocation.
 struct NodeAllocationResult {

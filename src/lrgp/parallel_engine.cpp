@@ -18,11 +18,13 @@ struct ParallelLrgpEngine::Cand {
     double value;      ///< U_j(r_i), reused for the Eq. 1 term
     int max_consumers;
     std::uint32_t cls;
+    std::uint32_t slot;  ///< position in the node-class span
 };
 
-/// Per-worker greedy ranking buffer (phase 2).
+/// Per-worker greedy ranking buffers (phase 2).
 struct ParallelLrgpEngine::NodeScratch {
     std::vector<Cand> cands;
+    std::vector<std::uint32_t> unranked;  ///< slots left out of the ranking
 };
 
 ParallelLrgpEngine::ParallelLrgpEngine(model::ProblemSpec spec, LrgpOptions options,
@@ -63,6 +65,13 @@ ParallelLrgpEngine::ParallelLrgpEngine(model::ProblemSpec spec, LrgpOptions opti
     for (int w = 0; w < pool_->threadCount(); ++w) {
         node_scratch_.push_back(std::make_unique<NodeScratch>());
         node_scratch_.back()->cands.resize(compiled_.max_classes_at_node);
+        node_scratch_.back()->unranked.resize(compiled_.max_classes_at_node);
+    }
+    rank_order_.resize(compiled_.node_class_class.size());
+    for (std::size_t b = 0; b < compiled_.nodeCount(); ++b) {
+        const std::size_t begin = compiled_.node_class_begin[b];
+        for (std::size_t e = begin; e < compiled_.node_class_begin[b + 1]; ++e)
+            rank_order_[e] = static_cast<std::uint32_t>(e - begin);
     }
 
     // Everything starts dirty so the first iteration is a full one.
@@ -238,31 +247,51 @@ double ParallelLrgpEngine::nodeBaseUsage(std::size_t b) const {
     return base_usage;
 }
 
-std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, Cand* out) {
+std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, NodeScratch& scratch) {
     const CompiledProblem& cp = compiled_;
     const std::vector<double>& rates = allocation_.rates;
-    std::uint32_t count = 0;
-    for (std::size_t e = cp.node_class_begin[b]; e < cp.node_class_begin[b + 1]; ++e) {
+    const std::size_t begin = cp.node_class_begin[b];
+    const std::size_t width = cp.node_class_begin[b + 1] - begin;
+    std::uint32_t* order = rank_order_.data() + begin;
+    Cand* out = scratch.cands.data();
+    std::uint32_t count = 0, unranked = 0;
+    bool sorted = true;
+    // Walk the stored order: usually it still holds, and then the
+    // candidates come out sorted without a sort.
+    for (std::size_t i = 0; i < width; ++i) {
+        const std::uint32_t slot = order[i];
+        const std::size_t e = begin + slot;
         const std::uint32_t cls = cp.node_class_class[e];
-        const std::uint32_t f = cp.class_flow[cls];
+        const std::uint32_t f = cp.node_class_flow[e];
         const double rate = rates[f];
-        const double unit_cost = cp.class_gcost[cls] * rate;
+        const double unit_cost = cp.node_class_gcost[e] * rate;
+        const int max_consumers = cp.node_class_max_consumers[e];
         // Mirrors GreedyConsumerAllocator::benefitCosts: a zero rate
         // makes BC_j = U_j(0)/0 an undefined 0/0 that must not reach
         // the ranking (bitwise parity with the serial allocator).
-        if (!cp.flow_active[f] || cp.class_max_consumers[cls] == 0 || !(unit_cost > 0.0)) {
+        if (!cp.flow_active[f] || max_consumers == 0 || !(unit_cost > 0.0)) {
             // Unranked: no consumer is admitted.
             if (allocation_.populations[cls] != 0) pop_moved_[cls] = 1;
             allocation_.populations[cls] = 0;
             class_utility_term_[cls] = 0.0;
+            scratch.unranked[unranked++] = slot;
             continue;
         }
         const double value = cp.flow_family[f] == SolveFamily::kGeneric
                                  ? cp.class_utility[cls]->value(rate)
                                  : cp.class_weight[cls] * flow_value_trans_[f];
-        out[count++] = {value / unit_cost, unit_cost, value, cp.class_max_consumers[cls], cls};
+        out[count] = {value / unit_cost, unit_cost, value, max_consumers, cls, slot};
+        if (count > 0 && BenefitCostOrder{}(out[count], out[count - 1])) sorted = false;
+        ++count;
     }
-    std::sort(out, out + count, BenefitCostOrder{});
+    // (BC desc, class id asc) is a total order, so sorting from any
+    // starting order yields the serial allocator's permutation, and any
+    // permutation of the slots is a valid order to store.
+    if (!sorted) {
+        std::sort(out, out + count, BenefitCostOrder{});
+        for (std::uint32_t i = 0; i < count; ++i) order[i] = out[i].slot;
+        std::copy_n(scratch.unranked.data(), unranked, order + count);
+    }
     return count;
 }
 
@@ -273,11 +302,7 @@ void ParallelLrgpEngine::admitNode(std::size_t b, const Cand* cands, std::uint32
     std::optional<double> best_unmet_bc;
     for (std::uint32_t i = 0; i < count; ++i) {
         const Cand& cand = cands[i];
-        int admitted = 0;
-        if (remaining > 0.0) {
-            admitted = static_cast<int>(std::min(std::floor(remaining / cand.unit_cost),
-                                                 static_cast<double>(cand.max_consumers)));
-        }
+        const int admitted = greedy_admit_count(remaining, cand.unit_cost, cand.max_consumers);
         remaining -= admitted * cand.unit_cost;
         if (allocation_.populations[cand.cls] != admitted) pop_moved_[cand.cls] = 1;
         allocation_.populations[cand.cls] = admitted;
@@ -296,7 +321,7 @@ void ParallelLrgpEngine::nodePhase(std::size_t begin, std::size_t end, NodeScrat
     for (std::size_t b = begin; b < end; ++b) {
         if (node_dirty_[b]) {
             const double base_usage = nodeBaseUsage(b);
-            const std::uint32_t count = buildNodeCands(b, scratch.cands.data());
+            const std::uint32_t count = buildNodeCands(b, scratch);
             admitNode(b, scratch.cands.data(), count, base_usage);
             candidates += count;
             ++rerun;
@@ -344,14 +369,6 @@ void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
 void ParallelLrgpEngine::seedDirtyFlows() {
     const CompiledProblem& cp = compiled_;
 
-    // A population move dirties its own flow only: the hop-class spans of
-    // PB_i (Eq. 9) and the Eq. 7 terms both range over flow i's own
-    // classes, so no other flow reads n_j.
-    for (std::size_t c = 0; c < pop_moved_.size(); ++c) {
-        if (!pop_moved_[c]) continue;
-        pop_moved_[c] = 0;
-        flow_dirty_[cp.class_flow[c]] = 1;
-    }
     // A node price move dirties every flow with a hop at the node (PB_i).
     for (std::size_t b = 0; b < node_price_moved_.size(); ++b) {
         if (!node_price_moved_[b]) continue;
@@ -366,6 +383,18 @@ void ParallelLrgpEngine::seedDirtyFlows() {
         for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e)
             flow_dirty_[cp.link_flow_flow[e]] = 1;
     }
+    // A population move dirties its own flow only: the hop-class spans of
+    // PB_i (Eq. 9) and the Eq. 7 terms both range over flow i's own
+    // classes, so no other flow reads n_j.  Dirty bits form a set, so
+    // only the flows the price moves left clean need the scan.
+    for (std::size_t f = 0; f < flow_dirty_.size(); ++f) {
+        if (flow_dirty_[f]) continue;
+        std::uint8_t moved = 0;
+        for (std::size_t e = cp.flow_class_begin[f]; e < cp.flow_class_begin[f + 1]; ++e)
+            moved |= pop_moved_[cp.flow_class_class[e]];
+        flow_dirty_[f] = moved;
+    }
+    std::fill(pop_moved_.begin(), pop_moved_.end(), std::uint8_t{0});
 
     dirty_flows_now_ = 0;
     skipped_solves_now_ = 0;

@@ -19,10 +19,11 @@
 // problem, for any thread count.  Every floating-point reduction either
 // happens privately per entity (in the serial optimizer's accumulation
 // order over the CSR spans) or serially in entity-id order (the Eq. 1
-// utility sum).  Scratch buffers (benefit-cost ranking, Eq. 7 terms,
-// per-class utility terms) are preallocated once and reused, so the
-// steady-state iteration performs no heap allocation beyond the
-// IterationRecord snapshot that mirrors the serial optimizer's API.
+// utility sum).  Scratch buffers (benefit-cost ranking, each node's
+// stored order, Eq. 7 terms, per-class utility terms) are preallocated
+// once and reused, so the steady-state iteration performs no heap
+// allocation beyond the IterationRecord snapshot that mirrors the serial
+// optimizer's API.
 //
 // Each phase has one loop, and it skips the entities whose inputs are
 // bitwise-unchanged since the last iteration (dirty-set tracking):
@@ -176,10 +177,13 @@ private:
 
     /// F_{b,i} * r_i usage of the active flows at node b.
     [[nodiscard]] double nodeBaseUsage(std::size_t b) const;
-    /// Writes the sorted benefit-cost candidates of node b to `out` and
-    /// returns their count.  Classes left unranked (inactive flow, zero
-    /// ceiling, zero unit cost) get population 0 and Eq. 1 term 0.0.
-    std::uint32_t buildNodeCands(std::size_t b, Cand* out);
+    /// Writes the sorted benefit-cost candidates of node b to the
+    /// scratch buffer and returns their count.  Classes left unranked
+    /// (inactive flow, zero ceiling, zero unit cost) get population 0
+    /// and Eq. 1 term 0.0.  The node's slots are visited in its stored
+    /// order; the candidates are sorted only if that order no longer
+    /// holds, and then the new order is stored, unranked slots last.
+    std::uint32_t buildNodeCands(std::size_t b, NodeScratch& scratch);
     /// Runs the batched greedy admission over an already-sorted candidate
     /// range, writing populations, Eq. 1 terms and the node's cached
     /// (used_b, BC(b,t)) pair.
@@ -237,6 +241,13 @@ private:
     std::vector<double> class_utility_term_;
     /// Per-worker greedy ranking buffers.
     std::vector<std::unique_ptr<NodeScratch>> node_scratch_;
+    /// Each node's starting order for its next ranking: local slots into
+    /// its node-class span, the identity at first and the result of each
+    /// sort after it, unranked slots last.  Every permutation of the
+    /// slots sorts to the same ranking, so no op ever invalidates it.  A
+    /// span holds distinct class ids, so a slot fits their width.  Phase
+    /// 2 writes a node's order only from the chunk that owns the node.
+    std::vector<std::uint32_t> rank_order_;
 
     // -- dirty-set tracking -----------------------------------------------
     // Write discipline (this is what keeps the phases race-free and the

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 
 #include "lrgp/greedy_allocator.hpp"
 #include "model/allocation.hpp"
@@ -222,6 +227,71 @@ TEST(Greedy, ZeroRateFlowDoesNotPoisonOtherFlows) {
     EXPECT_GT(live_admitted, 0);
     EXPECT_EQ(dead_admitted, 0);
     EXPECT_EQ(mixed.used, reference.used);
+}
+
+/// The batched step GreedyConsumerAllocator::allocate takes: the oracle
+/// for greedy_admit_count.
+int floor_divide_count(double remaining, double unit_cost, int max_consumers) {
+    if (!(remaining > 0.0)) return 0;
+    return static_cast<int>(
+        std::min(std::floor(remaining / unit_cost), static_cast<double>(max_consumers)));
+}
+
+void expect_admission_matches(double remaining, double unit_cost, int max_consumers) {
+    SCOPED_TRACE(testing::Message() << std::hexfloat << "remaining " << remaining << ", u "
+                                    << unit_cost << ", n^max " << std::dec << max_consumers);
+    const int want = floor_divide_count(remaining, unit_cost, max_consumers);
+    const int got = core::greedy_admit_count(remaining, unit_cost, max_consumers);
+    ASSERT_EQ(got, want);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(remaining - got * unit_cost),
+              std::bit_cast<std::uint64_t>(remaining - want * unit_cost));
+}
+
+/// x moved by `steps` representable doubles (negative: downwards).
+double step_ulps(double x, int steps) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (; steps > 0; --steps) x = std::nextafter(x, kInf);
+    for (; steps < 0; ++steps) x = std::nextafter(x, -kInf);
+    return x;
+}
+
+TEST(GreedyAdmission, ShortcutMatchesFloorDivide) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kMax = std::numeric_limits<double>::max();
+    constexpr double kMinNormal = std::numeric_limits<double>::min();
+    constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+    const double units[] = {1.0, 0.5, 3.0, 19.0 * 37.5, 0.1, std::nextafter(1.0, 2.0),
+                            std::nextafter(1.0, 0.0), 1e-300, kMinNormal,
+                            std::nextafter(kMinNormal, 0.0), 3 * kDenormMin, kDenormMin,
+                            1e300, kMax / 4, kMax};
+    for (const double u : units) {
+        for (const int n : {1, 2, 7, INT_MAX}) {
+            // Both thresholds and their neighbours, the signs of zero,
+            // negatives, and quotients far above INT_MAX.
+            std::vector<double> remaining{0.0, -0.0, -1.0, -u, -kMax, -kInf, kDenormMin,
+                                          std::ldexp(u, 40), 1e300, kMax, kInf};
+            for (const double edge : {static_cast<double>(n) * u, u})
+                for (int steps = -2; steps <= 2; ++steps)
+                    remaining.push_back(step_ulps(edge, steps));
+            for (const double r : remaining) expect_admission_matches(r, u, n);
+            if (testing::Test::HasFatalFailure()) return;
+        }
+    }
+
+    // Seeded sweep: u across the whole exponent range, remaining a few
+    // ulps either side of a whole number of units.
+    std::mt19937_64 rng(20061);
+    std::uniform_int_distribution<int> exponent(-1070, 1020);
+    std::uniform_real_distribution<double> mantissa(1.0, 2.0);
+    std::uniform_int_distribution<int> wiggle(-3, 3);
+    for (int i = 0; i < 200000; ++i) {
+        const double u = std::ldexp(mantissa(rng), exponent(rng));
+        const int n = i % 10 == 0 ? INT_MAX : 1 + static_cast<int>(rng() % 1000);
+        const std::uint64_t span = static_cast<std::uint64_t>(n) + 4;
+        const double units_left = static_cast<double>(rng() % span) - 2.0;
+        expect_admission_matches(step_ulps(units_left * u, wiggle(rng)), u, n);
+        if (testing::Test::HasFatalFailure()) return;
+    }
 }
 
 }  // namespace

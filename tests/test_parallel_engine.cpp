@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
+#include "lrgp/compiled_problem.hpp"
+#include "lrgp/greedy_allocator.hpp"
 #include "lrgp/optimizer.hpp"
 #include "lrgp/parallel_engine.hpp"
 #include "lrgp/task_pool.hpp"
@@ -297,6 +301,97 @@ TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
     run_lockstep(serial, engine, 40);
 }
 
+TEST(ParallelEngine, RankingFlipsAndTiesMatchSerial) {
+    // Node S0 ranks classes of two flows whose benefit-cost order swaps
+    // as the rates move, plus two identical classes t1 < t2 whose equal
+    // ratios leave the order to the class-id tie-break.  The schedule
+    // makes the engine sort S0 while t1 is out of the ranking (the slow
+    // flow returns at rate_min, and its class b jumps ahead of a), so
+    // t1's slot is stored last; when t1's ceiling comes back, the walk
+    // meets t2 before t1 and only the tie-break can restore the order.
+    model::ProblemBuilder b;
+    const model::NodeId source = b.addNode("P", 1e9);
+    const model::NodeId s0 = b.addNode("S0", 2e5);
+    const model::NodeId s1 = b.addNode("S1", 4e5);
+    const model::NodeId s2 = b.addNode("S2", 4e5);
+    const model::FlowId fast = b.addFlow("fast", source, 10.0, 1000.0);
+    const model::FlowId slow = b.addFlow("slow", source, 10.0, 60.0);
+    b.routeThroughNode(fast, s0, 3.0);
+    b.routeThroughNode(fast, s1, 3.0);
+    b.routeThroughNode(slow, s0, 3.0);
+    b.routeThroughNode(slow, s2, 3.0);
+    const auto log_utility = [](double w) { return std::make_shared<utility::LogUtility>(w); };
+    // Added first, so S0's classes sit at node-class slots unequal to
+    // their ids.
+    b.addClass("c", fast, s1, 400, 19.0, log_utility(8.0));
+    const model::ClassId a = b.addClass("a", fast, s0, 200, 19.0, log_utility(20.0));
+    const model::ClassId bc = b.addClass("b", slow, s0, 200, 19.0, log_utility(16.0));
+    const model::ClassId t1 = b.addClass("t1", fast, s0, 300, 19.0, log_utility(5.0));
+    const model::ClassId t2 = b.addClass("t2", fast, s0, 300, 19.0, log_utility(5.0));
+    b.addClass("d", slow, s2, 400, 19.0, log_utility(8.0));
+    const model::ProblemSpec spec = b.build();
+
+    core::LrgpOptimizer serial(spec);
+    core::ParallelLrgpEngine one(spec, {}, {.threads = 1});
+    core::ParallelLrgpEngine three(spec, {}, {.threads = 3});
+
+    // Serial-side witnesses that the ranking at S0 really flips and that
+    // the tie-break really decides an admission.
+    int flips = 0, tie_splits = 0;
+    std::optional<bool> a_first;
+    run_lockstep(serial, {&one, &three}, 240, [&](int it) {
+        const core::GreedyConsumerAllocator greedy(serial.problem());
+        const std::vector<core::BenefitCost> ranked =
+            greedy.benefitCosts(s0, serial.allocation().rates);
+        const auto rank_of = [&](model::ClassId cls) {
+            return std::find_if(ranked.begin(), ranked.end(),
+                                [&](const core::BenefitCost& c) { return c.cls == cls; });
+        };
+        if (rank_of(a) != ranked.end() && rank_of(bc) != ranked.end()) {
+            const bool now = rank_of(a) < rank_of(bc);
+            if (a_first && *a_first != now) ++flips;
+            a_first = now;
+        }
+        const std::vector<int>& pops = serial.allocation().populations;
+        if (rank_of(t1) != ranked.end() && rank_of(t2) != ranked.end() &&
+            pops[t1.index()] != pops[t2.index()])
+            ++tie_splits;
+
+        switch (it) {
+            case 60:
+                serial.removeFlow(slow);
+                for (auto* e : {&one, &three}) e->removeFlow(slow);
+                break;
+            case 80:
+                serial.setClassMaxConsumers(t1, 0);
+                for (auto* e : {&one, &three}) e->setClassMaxConsumers(t1, 0);
+                break;
+            case 90:
+                serial.restoreFlow(slow);
+                for (auto* e : {&one, &three}) e->restoreFlow(slow);
+                break;
+            case 120:
+                serial.setClassMaxConsumers(t1, 300);
+                for (auto* e : {&one, &three}) e->setClassMaxConsumers(t1, 300);
+                break;
+            case 150: {
+                core::PriceVector warm = serial.prices();
+                for (double& p : warm.node) p *= 0.5;
+                const std::vector<int> pops_one(spec.classCount(), 1);
+                serial.warmStart(warm, &pops_one);
+                for (auto* e : {&one, &three}) e->warmStart(warm, &pops_one);
+                break;
+            }
+            case 190:
+                for (auto* e : {&one, &three}) e->restore(e->snapshot());
+                break;
+            default: break;
+        }
+    });
+    EXPECT_GT(flips, 0) << "the benefit-cost order at S0 never swapped";
+    EXPECT_GT(tie_splits, 0) << "the tied classes were always admitted alike";
+}
+
 TEST(ParallelEngine, ShiftedLogUsesFastPathAndMatches) {
     model::ProblemBuilder b;
     const model::NodeId source = b.addNode("P", 1e9);
@@ -343,6 +438,99 @@ TEST(ParallelEngine, MixedAndScaledFamiliesFallBackToReferenceSolver) {
 
     core::LrgpOptimizer serial(spec);
     run_lockstep(serial, engine, 250);
+}
+
+/// The compile's bucketed spans against the direct scans they replace:
+/// for every node hop of every flow, the flow's classes at that node in
+/// classesOfFlow order; for every node and link, its flows with the
+/// spec's cost lookup.
+void expect_hop_spans_match_naive_scan(const model::ProblemSpec& spec) {
+    std::vector<std::size_t> begin{0};
+    std::vector<std::uint32_t> classes;
+    std::vector<double> gcost;
+    for (const model::FlowSpec& f : spec.flows()) {
+        for (const model::FlowNodeHop& hop : f.nodes) {
+            for (model::ClassId j : spec.classesOfFlow(f.id)) {
+                if (spec.consumerClass(j).node != hop.node) continue;
+                classes.push_back(j.value);
+                gcost.push_back(spec.consumerClass(j).consumer_cost);
+            }
+            begin.push_back(classes.size());
+        }
+    }
+    const core::CompiledProblem cp(spec);
+    EXPECT_EQ(cp.hop_class_begin, begin);
+    EXPECT_EQ(cp.hop_class_class, classes);
+    EXPECT_EQ(cp.hop_class_gcost, gcost);
+
+    std::vector<std::uint32_t> flows;
+    std::vector<double> costs;
+    for (const model::NodeSpec& b : spec.nodes()) {
+        for (model::FlowId i : spec.flowsAtNode(b.id)) {
+            flows.push_back(i.value);
+            costs.push_back(spec.flowNodeCost(b.id, i));
+        }
+        EXPECT_EQ(cp.node_flow_begin[b.id.index() + 1], flows.size());
+    }
+    EXPECT_EQ(cp.node_flow_flow, flows);
+    EXPECT_EQ(cp.node_flow_fcost, costs);
+    flows.clear();
+    costs.clear();
+    for (const model::LinkSpec& l : spec.links()) {
+        for (model::FlowId i : spec.flowsOnLink(l.id)) {
+            flows.push_back(i.value);
+            costs.push_back(spec.linkCost(l.id, i));
+        }
+        EXPECT_EQ(cp.link_flow_begin[l.id.index() + 1], flows.size());
+    }
+    EXPECT_EQ(cp.link_flow_flow, flows);
+    EXPECT_EQ(cp.link_flow_cost, costs);
+}
+
+TEST(CompiledProblem, HopSpansMatchNaiveScan) {
+    constexpr workload::UtilityShape kShapes[] = {
+        workload::UtilityShape::kLog, workload::UtilityShape::kPow025,
+        workload::UtilityShape::kPow05, workload::UtilityShape::kPow075};
+    for (int seed = 1; seed <= 50; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        workload::RandomWorkloadOptions options;
+        options.seed = static_cast<std::uint32_t>(seed);
+        options.shape = kShapes[seed % 4];
+        options.link_bottleneck_probability = (seed % 3 == 0) ? 1.0 : 0.0;
+        expect_hop_spans_match_naive_scan(workload::make_random_workload(options));
+    }
+    SCOPED_TRACE("paper_churn shape, 10^5 classes");
+    workload::WorkloadOptions churn;
+    churn.flow_replicas = 50;
+    churn.cnode_replicas = 100;
+    expect_hop_spans_match_naive_scan(workload::make_scaled_workload(churn));
+}
+
+TEST(CompiledProblem, NodeSlotsMirrorTheSpec) {
+    workload::WorkloadOptions options;
+    options.flow_replicas = 2;
+    options.cnode_replicas = 3;
+    const model::ProblemSpec spec = workload::make_scaled_workload(options);
+    core::CompiledProblem cp(spec);
+    for (const model::NodeSpec& node : spec.nodes()) {
+        const std::vector<model::ClassId>& at_node = spec.classesAtNode(node.id);
+        const std::size_t begin = cp.node_class_begin[node.id.index()];
+        ASSERT_EQ(cp.node_class_begin[node.id.index() + 1] - begin, at_node.size());
+        for (std::size_t i = 0; i < at_node.size(); ++i) {
+            const model::ClassSpec& c = spec.consumerClass(at_node[i]);
+            EXPECT_EQ(cp.class_slot[c.id.index()], begin + i);
+            EXPECT_EQ(cp.node_class_class[begin + i], c.id.value);
+            EXPECT_EQ(cp.node_class_flow[begin + i], c.flow.value);
+            EXPECT_EQ(cp.node_class_gcost[begin + i], c.consumer_cost);
+            EXPECT_EQ(cp.node_class_max_consumers[begin + i], c.max_consumers);
+        }
+    }
+    // The setter writes the class's slot, not the entry at its id.
+    std::uint32_t moved = 0;
+    while (moved < spec.classCount() && cp.class_slot[moved] == moved) ++moved;
+    ASSERT_LT(moved, spec.classCount()) << "every class sits at the slot equal to its id";
+    cp.setClassMaxConsumers(model::ClassId{moved}, 7);
+    EXPECT_EQ(cp.node_class_max_consumers[cp.class_slot[moved]], 7);
 }
 
 TEST(ParallelEngine, PhaseTimesAccumulateWhenEnabled) {
