@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -232,17 +234,58 @@ std::string runtime_counter_text(const obs::Registry& live) {
     return reg.prometheusText();
 }
 
+/// 64-bit FNV-1a of a byte stream.
+std::uint64_t fnv1a(std::string_view bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::string stream_line(const std::string& name, std::size_t count, std::string_view bytes) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s count=%zu fnv1a=%016llx\n", name.c_str(), count,
+                  static_cast<unsigned long long>(fnv1a(bytes)));
+    return buf;
+}
+
+/// The run's trajectory, as a count and an FNV-1a hash per stream: the
+/// utility trace (one hexfloat sample per line) and each agent's digest
+/// log (one line per sent digest).  The counter fixtures miss a change
+/// that moves a value without moving a count.
+std::string runtime_trajectory_text(const runtime::AsyncShardRuntime& rt) {
+    std::string trace;
+    for (std::size_t i = 0; i < rt.utilityTrace().size(); ++i) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a\n", rt.utilityTrace()[i]);
+        trace += buf;
+    }
+    std::string out = stream_line("utility_trace", rt.utilityTrace().size(), trace);
+    for (int agent = 0; agent < rt.agentCount(); ++agent) {
+        const std::string& log = rt.digestLog(agent);
+        out += stream_line("digest_log agent=" + std::to_string(agent),
+                           static_cast<std::size_t>(std::count(log.begin(), log.end(), '\n')),
+                           log);
+    }
+    return out;
+}
+
 TEST(Golden, RuntimePrometheusText) {
     // Two async agents over the base workload in deterministic virtual
-    // lockstep: every lrgp_runtime_* counter and gauge lands on the same
-    // value on every run and every machine.
+    // lockstep: every lrgp_runtime_* counter and gauge, the utility
+    // trace and every digest log land on the same value on every run and
+    // every machine.
     obs::Registry live;
     runtime::RuntimeOptions options;
     options.agents = 2;
+    options.keep_digest_log = true;
     runtime::AsyncShardRuntime rt(workload::make_base_workload(), {}, options);
     rt.attachObservability(&live);
     rt.runFor(1.0);
     check_golden("prometheus_runtime_text", runtime_counter_text(live));
+    check_golden("runtime_trajectory", runtime_trajectory_text(rt));
 }
 
 /// Four agents over the base workload for 20 virtual seconds under one
@@ -258,11 +301,13 @@ void check_runtime_under_fault(const std::string& scenario) {
     runtime::RuntimeOptions options;
     options.agents = 4;
     options.fault_plan = it->plan;
+    options.keep_digest_log = true;
     obs::Registry live;
     runtime::AsyncShardRuntime rt(workload::make_base_workload(), {}, options);
     rt.attachObservability(&live);
     rt.runFor(20.0);
     check_golden("prometheus_runtime_" + scenario + "_text", runtime_counter_text(live));
+    check_golden("runtime_" + scenario + "_trajectory", runtime_trajectory_text(rt));
 }
 
 TEST(Golden, RuntimeNodeCrashPrometheusText) { check_runtime_under_fault("node_crash"); }
