@@ -50,16 +50,20 @@ using namespace lrgp;
 
 namespace {
 
-/// --threads, --agents and --dataplane-workers each start one OS thread
-/// per unit; a larger value is rejected before anything is built.
+/// --threads and --dataplane-workers each start one OS thread per unit,
+/// and --agents builds one engine per unit; a larger value is rejected
+/// before anything is built.
 constexpr int kMaxThreads = 256;
+/// --seconds cap: one virtual hour, which takes seconds of wall time on
+/// the base workload.  A horizon of 1e9 s would run for weeks.
+constexpr double kMaxSeconds = 3600.0;
 
 struct CliOptions {
     std::string workload = "base";  // base | random
     std::string engine = "serial";  // a shard::make_engine name, or async
     int threads = 1;                // incremental/sharded worker threads
     int shards = 4;                 // --engine sharded shard count
-    int agents = 4;                 // --engine async agent-thread count
+    int agents = 4;                 // --engine async agent count
     double seconds = 12.0;          // --engine async virtual run horizon
     workload::UtilityShape shape = workload::UtilityShape::kLog;
     int flow_replicas = 1;
@@ -106,9 +110,9 @@ void printUsage() {
         "  --threads N                engine worker threads\n"
         "                             (default 1; 0 = hardware concurrency; max 256)\n"
         "  --shards K                 sharded engine shard count (default 4)\n"
-        "  --agents K                 async runtime agent threads (default 4; max 256)\n"
+        "  --agents K                 async runtime shard agents (default 4; max 256)\n"
         "  --seconds X                async runtime horizon in virtual seconds\n"
-        "                             (default 12)\n"
+        "                             (default 12; max 3600)\n"
         "  --shape log|p025|p05|p075  class utility shape (default log)\n"
         "  --flow-replicas N          scale: replicate the 6-flow set (default 1)\n"
         "  --cnode-replicas N         scale: replicate consumer nodes (default 1)\n"
@@ -203,8 +207,8 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
             }
         } else if (arg == "--seconds") {
             if (!number(options.seconds)) return std::nullopt;
-            if (!(options.seconds > 0.0)) {
-                std::fprintf(stderr, "error: --seconds must be > 0\n");
+            if (!(options.seconds > 0.0 && options.seconds <= kMaxSeconds)) {
+                std::fprintf(stderr, "error: --seconds must be in (0, %g]\n", kMaxSeconds);
                 return std::nullopt;
             }
         } else if (arg == "--threads") {
@@ -448,8 +452,7 @@ int run(const CliOptions& cli) {
             rt.attachObservability(registry.get());
         }
 
-        std::printf("engine: async, %d agent thread%s, %.1f virtual seconds "
-                    "(deterministic lockstep)\n",
+        std::printf("engine: async, %d agent%s, %.1f virtual seconds (deterministic)\n",
                     rt.agentCount(), rt.agentCount() == 1 ? "" : "s", cli.seconds);
         rt.runFor(cli.seconds);
 

@@ -1,14 +1,14 @@
 // Live asynchronous shard-agent runtime (ROADMAP item 4).
 //
-// AsyncShardRuntime runs one *agent thread* per shard of the overlay:
-// each agent owns an incremental ParallelLrgpEngine over its subproblem
+// AsyncShardRuntime runs one *agent* per shard of the overlay: each
+// agent owns an incremental ParallelLrgpEngine over its subproblem
 // (shard/subproblems.hpp) and coordinates boundary capacity with its
 // peers by exchanging compact versioned digests over a ChannelTransport
 // whose embedded fault injector loses, delays, reorders and partitions
 // messages *live* (runtime/transport.hpp).  This is the asynchronous,
 // failure-prone sibling of shard::ShardedLrgpEngine's lockstep loop —
 // same subproblems, same boundary-budget arithmetic, no barrier between
-// shards, faults in wall-clock (or virtual) time.
+// shards, faults in virtual time.
 //
 // Tolerance mechanisms (docs/async_runtime.md has the state machines
 // and runtime.cpp the protocol timers):
@@ -32,21 +32,18 @@
 //    the matching reductions, so the applied slices never sum above the
 //    global capacity even under loss, reordering or partitions.
 //
-// Execution modes:
-//  * deterministic (default) — virtual time: all agent threads step in
-//    lockstep ticks separated by a std::barrier, and time advances
-//    one tick period per tick.  Because the transport's delivery order is
-//    schedule-independent and latency_min > 0 keeps a tick's sends out
-//    of the same tick's receives, the whole run — utility trace, digest
-//    logs, every counter — is byte-identical across reruns and thread
-//    interleavings, while still exercising real threads, mutexes and
-//    barriers (the TSan suite runs exactly this mode).
-//  * real time (deterministic = false) — agents free-run on the wall
-//    clock with sleep-paced ticks; timing-dependent, for soak tests and
-//    live deployments.
+// Execution: virtual time, in ticks of a fixed period.  Each tick is
+// one core::TaskPool::parallelFor over the agents, on a pool of
+// min(agents, hardware_concurrency) threads that the constructor
+// starts once; the clock advances one tick period per tick and the
+// utility is sampled on the calling thread after the join.  Because the
+// transport's delivery order is schedule-independent and its minimum
+// latency is positive, a tick's sends stay out of the same tick's
+// receives, so the whole run — utility trace, digest logs, every
+// counter — is byte-identical across reruns, thread counts and
+// interleavings (the TSan suite runs it).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,6 +52,7 @@
 #include "faults/fault_plan.hpp"
 #include "lrgp/optimizer.hpp"
 #include "lrgp/parallel_engine.hpp"
+#include "lrgp/task_pool.hpp"
 #include "metrics/time_series.hpp"
 #include "model/problem.hpp"
 #include "obs/instruments.hpp"
@@ -64,22 +62,8 @@
 namespace lrgp::runtime {
 
 struct RuntimeOptions {
-    /// Shard agents (one thread each while running).
+    /// Shard agents, ticked on min(agents, hardware_concurrency) threads.
     int agents = 2;
-    /// Virtual-time lockstep (byte-identical reruns) vs wall clock.
-    bool deterministic = true;
-
-    /// Transport latency bounds (TransportOptions); latency_min > 0.
-    double latency_min = 0.001;
-    double latency_max = 0.004;
-    /// Bounded inbox capacity per agent, divided into per-sender
-    /// in-flight windows of queue_capacity / (agents - 1) so that
-    /// backpressure decisions stay schedule-independent
-    /// (runtime/transport.hpp).
-    std::size_t queue_capacity = 64;
-
-    /// Utility sampling period of the driver (utilityTrace()).
-    double sample_period = 0.05;
 
     std::uint32_t seed = 1;
     /// Live fault schedule.  Message faults match runtime agent i as
@@ -88,8 +72,8 @@ struct RuntimeOptions {
     /// agent `index`).
     faults::FaultPlan fault_plan;
 
-    /// Record per-agent digest logs (hexfloat, byte-stable in
-    /// deterministic mode; see AsyncShardRuntime::digestLog).
+    /// Record per-agent digest logs (hexfloat, byte-stable across
+    /// reruns; see AsyncShardRuntime::digestLog).
     bool keep_digest_log = false;
 };
 
@@ -135,11 +119,11 @@ struct RuntimeStats {
 
 class AsyncShardRuntime {
 public:
-    /// Partitions `spec` into `runtime.agents` shard subproblems and
-    /// builds the agents and transport.  Validates every option field
-    /// (throws std::invalid_argument with an actionable message) and
-    /// the fault plan against the agent count.  No threads run until
-    /// runFor().
+    /// Partitions `spec` into `runtime.agents` shard subproblems, builds
+    /// the agents and transport, and starts the agent pool.  Validates
+    /// the agent count and the fault plan against it (throws
+    /// std::invalid_argument with an actionable message); rethrows the
+    /// std::system_error of a pool thread that fails to start.
     AsyncShardRuntime(model::ProblemSpec spec, core::LrgpOptions options = {},
                       RuntimeOptions runtime = {});
     ~AsyncShardRuntime();
@@ -147,22 +131,26 @@ public:
     AsyncShardRuntime(const AsyncShardRuntime&) = delete;
     AsyncShardRuntime& operator=(const AsyncShardRuntime&) = delete;
 
-    /// Advances the runtime `seconds` (virtual seconds in deterministic
-    /// mode, wall seconds otherwise): spawns one thread per agent, runs
-    /// them, samples the global utility every sample_period, and joins
-    /// every thread before returning.  Callable repeatedly; the clock
-    /// carries across calls.
+    /// Advances the runtime `seconds` virtual seconds, rounded to whole
+    /// ticks (at least one): every agent ticks once per tick on the
+    /// pool, and the global utility is sampled every samplePeriod().
+    /// Callable repeatedly; the clock carries across calls.  Throws
+    /// std::invalid_argument, before any agent ticks, unless seconds > 0
+    /// and the horizon is fewer than 2^53 ticks (the exact integers of a
+    /// double; 1e300 would overflow the tick count).
     void runFor(double seconds);
 
-    /// Runtime clock: virtual time advanced so far (deterministic) or
-    /// accumulated wall run time.
+    /// Runtime clock: virtual time advanced so far.
     [[nodiscard]] double now() const noexcept { return base_time_; }
+
+    /// Virtual seconds between two utility samples.
+    [[nodiscard]] static double samplePeriod() noexcept;
 
     /// Latest sampled global utility (sum of the agents' published
     /// utilities in agent order; crashed agents contribute zero).
     [[nodiscard]] double currentUtility() const;
 
-    /// One utility sample every sample_period seconds.
+    /// One utility sample every samplePeriod() seconds.
     [[nodiscard]] const metrics::TimeSeries& utilityTrace() const noexcept { return trace_; }
 
     [[nodiscard]] int agentCount() const noexcept { return static_cast<int>(agents_.size()); }
@@ -173,8 +161,8 @@ public:
 
     /// The agent's digest log (one line per sent digest, hexfloat
     /// payloads).  Empty unless RuntimeOptions::keep_digest_log; only
-    /// read between runFor invocations.  In deterministic mode the log
-    /// is byte-identical across reruns of the same configuration.
+    /// read between runFor invocations.  The log is byte-identical
+    /// across reruns of the same configuration.
     [[nodiscard]] const std::string& digestLog(int agent) const;
 
     [[nodiscard]] const model::ProblemSpec& problem() const noexcept { return spec_; }
@@ -182,19 +170,19 @@ public:
 
     /// The agent's local subproblem engine (nullptr for an empty shard).
     /// Quiescent inspection only — call between runFor invocations; the
-    /// engine is owned and mutated by the agent's thread during a run.
+    /// agent's ticks mutate the engine during a run.
     [[nodiscard]] const core::ParallelLrgpEngine* agentEngine(int agent) const;
 
     // -- quiescent dynamic workload ops (scenario churn) -----------------
     //
-    // Apply between runFor() invocations only — no agent threads run
-    // then, so the owning agent's engine and its cold-restart copy can
-    // be mutated directly.  Only ops that leave boundary capacity
-    // budgets untouched are offered here; capacity changes would race
-    // the shrink-before-grow handshakes and are rejected by the
-    // scenario runner instead.  A crash before the next snapshot
-    // restores pre-op engine state from the previous checkpoint, so
-    // scenario suites do not combine churn with crash fault plans.
+    // Apply between runFor() invocations only — no agent ticks then, so
+    // the owning agent's engine and its cold-restart copy can be mutated
+    // directly.  Only ops that leave boundary capacity budgets untouched
+    // are offered here; capacity changes would race the shrink-before-
+    // grow handshakes and are rejected by the scenario runner instead.
+    // A crash before the next snapshot restores pre-op engine state from
+    // the previous checkpoint, so scenario suites do not combine churn
+    // with crash fault plans.
 
     /// Marks the flow's source as departed on the owning agent (and in
     /// the global mirror).  Throws std::invalid_argument on a bad id.
@@ -206,7 +194,7 @@ public:
 
     /// Registers the lrgp_runtime_* series (docs/observability.md).
     /// Counter totals are exported at the end of every runFor call;
-    /// histograms (digest age, inbox depth) fill live from the agent
+    /// histograms (digest age, inbox depth) fill live from the pool
     /// threads.  Pass nullptr to detach.
     void attachObservability(obs::Registry* registry);
 
@@ -220,12 +208,10 @@ private:
     void buildAgents(shard::SubproblemSet sub, const core::LrgpOptions& options);
     void applyFlowActive(model::FlowId flow, bool active);
 
-    void runVirtual(double seconds);
-    void runReal(double seconds);
     void sampleUtility();
     void exportCounters();
 
-    // -- agent tick pipeline (all called on the agent's own thread) ----
+    // -- agent tick pipeline (one agent's tick runs on one pool thread) --
     void tickAgent(Agent& agent, double now);
     void crashAgent(Agent& agent);
     void restartAgent(Agent& agent, double now);
@@ -252,11 +238,14 @@ private:
     std::vector<std::uint32_t> link_resource_;
     std::vector<std::unique_ptr<Agent>> agents_;
     std::unique_ptr<ChannelTransport> transport_;
+    /// Ticks the agents; declared after them so that its threads are
+    /// joined before the agents and the transport are destroyed.
+    core::TaskPool pool_;
 
     metrics::TimeSeries trace_;
     double base_time_ = 0.0;    ///< runtime clock at the last runFor exit
     double next_sample_ = 0.0;  ///< first sample strictly after time 0
-    std::atomic<double> published_total_{0.0};
+    double published_total_ = 0.0;
 
     obs::RuntimeInstruments instr_;
     bool obs_attached_ = false;

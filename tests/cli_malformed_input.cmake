@@ -2,8 +2,9 @@
 # typed error (exit 2, an "error:" line on stderr), never an abort (134),
 # a crash (139) or an infeasible allocation.  A numeric flag whose value
 # is not wholly a finite number (`--gamma nan|inf` among them), a
-# thread-count flag above 256 and `--scenario` with a flag its replay
-# would ignore must fail the same way, naming the flag.
+# thread-count flag above 256, an async horizon above one virtual hour
+# and `--scenario` with a flag its replay would ignore must fail the
+# same way, naming the flag.
 #
 #   cmake -DCLI=<path to lrgp_cli> -DWORK_DIR=<scratch dir> -P cli_malformed_input.cmake
 if(NOT CLI OR NOT WORK_DIR)
@@ -73,11 +74,14 @@ endif()
 # not run with the leading number, with 0, with the wrapped value (-1 as
 # seed 4294967295), with a non-finite node-price stepsize, or forever
 # (--engine async --seconds inf).  A thread-count flag above its cap of
-# 256 must not start that many threads.
+# 256 must not start that many threads, and an async horizon of 1e300 s
+# (an overflowing tick count) or 1e9 s (weeks of wall time) must not
+# start the runtime.
 foreach(case "--gamma;abc" "--iterations;50x" "--shards;2x" "--seconds;2abc"
         "--enact-deadband;abc" "--seed;-1" "--obs-sample;abc" "--sa-steps;abc"
         "--gamma;nan" "--gamma;inf" "--seconds;inf" "--enact-deadband;nan"
-        "--threads;257" "--agents;257;--engine;async" "--dataplane-workers;257")
+        "--threads;257" "--agents;257;--engine;async" "--dataplane-workers;257"
+        "--seconds;1e300;--engine;async" "--seconds;1e9;--engine;async")
   list(GET case 0 flag)
   execute_process(
     COMMAND "${CLI}" --iterations 5 ${case}
