@@ -255,64 +255,4 @@ SearchResult best_of_annealing(const model::ProblemSpec& spec,
     return best;
 }
 
-SearchResult hill_climb(const model::ProblemSpec& spec, const HillClimbOptions& options) {
-    const auto start_time = std::chrono::steady_clock::now();
-    std::mt19937 rng(options.seed);
-    SearchState state(spec);
-    MoveProposer proposer(spec, options.rate_step_fraction, options.population_step_fraction, rng);
-
-    SearchResult result;
-    for (std::uint64_t s = 0; s < options.max_steps; ++s) {
-        const MoveOutcome outcome =
-            proposer.propose(state, [](double delta_utility) { return delta_utility >= 0.0; });
-        if (!outcome.feasible) ++result.rejected_infeasible;
-        else if (outcome.applied) ++result.accepted;
-    }
-    result.best = state.allocation();
-    result.best_utility = state.utility();
-    result.steps_taken = options.max_steps;
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    return result;
-}
-
-SearchResult random_search(const model::ProblemSpec& spec, const RandomSearchOptions& options) {
-    const auto start_time = std::chrono::steady_clock::now();
-    std::mt19937 rng(options.seed);
-    std::uniform_real_distribution<double> unif(0.0, 1.0);
-
-    SearchResult result;
-    result.best = model::Allocation::minimal(spec);
-    result.best_utility = model::total_utility(spec, result.best);
-
-    for (std::uint64_t s = 0; s < options.samples; ++s) {
-        SearchState state(spec);
-        // Random rates, then random population fill in random class order.
-        for (const model::FlowSpec& f : spec.flows()) {
-            if (!f.active) continue;
-            const double r = f.rate_min + unif(rng) * (f.rate_max - f.rate_min);
-            if (!state.tryRateMove(f.id, r)) continue;  // keep previous rate on rejection
-        }
-        std::vector<model::ClassId> order;
-        for (const model::ClassSpec& c : spec.classes())
-            if (spec.flowActive(c.flow)) order.push_back(c.id);
-        std::shuffle(order.begin(), order.end(), rng);
-        for (model::ClassId j : order) {
-            const model::ClassSpec& c = spec.consumerClass(j);
-            const int target = static_cast<int>(unif(rng) * (c.max_consumers + 1));
-            int n = std::min(target, c.max_consumers);
-            // Back off until feasible (population moves are monotone in cost).
-            while (n > 0 && !state.tryPopulationMove(j, n)) n /= 2;
-        }
-        if (state.utility() > result.best_utility) {
-            result.best_utility = state.utility();
-            result.best = state.allocation();
-        }
-        ++result.steps_taken;
-    }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    return result;
-}
-
 }  // namespace lrgp::baseline

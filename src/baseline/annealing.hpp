@@ -1,6 +1,5 @@
-// Centralized baselines (Section 4.4): simulated annealing with the
-// paper's cooling schedule, plus hill climbing and random search used as
-// sanity baselines in tests and ablations.
+// Centralized baseline (Section 4.4): simulated annealing with the
+// paper's cooling schedule.
 //
 // The paper's schedule: start temperature in {5, 10, 50, 100}; after each
 // simulation round the temperature is multiplied by 0.999; the run ends
@@ -49,27 +48,5 @@ struct SearchResult {
 [[nodiscard]] SearchResult best_of_annealing(const model::ProblemSpec& spec,
                                              const std::vector<double>& start_temperatures,
                                              std::uint64_t steps_per_run, std::uint32_t seed);
-
-struct HillClimbOptions {
-    std::uint64_t max_steps = 100'000;
-    std::uint32_t seed = 1;
-    double rate_step_fraction = 0.1;
-    double population_step_fraction = 0.1;
-};
-
-/// Greedy stochastic hill climbing: accepts only improving feasible moves.
-[[nodiscard]] SearchResult hill_climb(const model::ProblemSpec& spec,
-                                      const HillClimbOptions& options);
-
-struct RandomSearchOptions {
-    std::uint64_t samples = 10'000;
-    std::uint32_t seed = 1;
-};
-
-/// Uniform random sampling of rates plus greedy-random population fill;
-/// keeps the best feasible sample.  A weak baseline used to calibrate the
-/// difficulty of a workload in tests.
-[[nodiscard]] SearchResult random_search(const model::ProblemSpec& spec,
-                                         const RandomSearchOptions& options);
 
 }  // namespace lrgp::baseline

@@ -11,8 +11,6 @@ namespace {
 
 using namespace lrgp;
 using baseline::AnnealOptions;
-using baseline::HillClimbOptions;
-using baseline::RandomSearchOptions;
 using baseline::SearchState;
 using lrgp::test::make_linked_problem;
 using lrgp::test::make_tiny_problem;
@@ -157,35 +155,6 @@ TEST(Annealing, BestOfPicksTheBestRun) {
     const double u50 = baseline::simulated_annealing(spec, opts50).best_utility;
     EXPECT_DOUBLE_EQ(best.best_utility, std::max(u5, u50));
     EXPECT_THROW((void)baseline::best_of_annealing(spec, {}, 100, 1), std::invalid_argument);
-}
-
-TEST(HillClimb, ImprovesOverMinimal) {
-    const auto spec = workload::make_base_workload();
-    HillClimbOptions options;
-    options.max_steps = 20'000;
-    const auto result = baseline::hill_climb(spec, options);
-    EXPECT_GT(result.best_utility, 0.0);
-    EXPECT_TRUE(model::check_feasibility(spec, result.best).feasible());
-}
-
-TEST(RandomSearch, FindsFeasiblePositiveUtility) {
-    const auto spec = workload::make_base_workload();
-    RandomSearchOptions options;
-    options.samples = 200;
-    const auto result = baseline::random_search(spec, options);
-    EXPECT_GT(result.best_utility, 0.0);
-    EXPECT_TRUE(model::check_feasibility(spec, result.best).feasible());
-}
-
-TEST(Baselines, AnnealingBeatsRandomSearch) {
-    const auto spec = workload::make_base_workload();
-    AnnealOptions anneal_options;
-    anneal_options.max_steps = 100'000;
-    RandomSearchOptions random_options;
-    random_options.samples = 500;
-    const auto sa = baseline::simulated_annealing(spec, anneal_options);
-    const auto rs = baseline::random_search(spec, random_options);
-    EXPECT_GT(sa.best_utility, rs.best_utility);
 }
 
 }  // namespace
