@@ -19,6 +19,7 @@
 #include <string_view>
 
 #include "faults/scenarios.hpp"
+#include "io/problem_json.hpp"
 #include "lrgp/optimizer.hpp"
 #include "lrgp/parallel_engine.hpp"
 #include "lrgp/trace_export.hpp"
@@ -29,6 +30,7 @@
 #include "runtime/runtime.hpp"
 #include "shard/sharded_engine.hpp"
 #include "test_helpers.hpp"
+#include "workload/federated.hpp"
 #include "workload/workloads.hpp"
 
 namespace {
@@ -313,6 +315,36 @@ void check_runtime_under_fault(const std::string& scenario) {
 TEST(Golden, RuntimeNodeCrashPrometheusText) { check_runtime_under_fault("node_crash"); }
 
 TEST(Golden, RuntimeDelaySpikePrometheusText) { check_runtime_under_fault("delay_spike"); }
+
+/// A generated problem as its JSON size in bytes and an FNV-1a hash of
+/// that JSON: names, routes, costs, capacities and every class's
+/// utility.
+std::string problem_line(const std::string& name, const model::ProblemSpec& spec) {
+    const std::string json = io::problem_to_json_string(spec);
+    return stream_line(name, json.size(), json);
+}
+
+TEST(Golden, GeneratedProblemJson) {
+    // The Table 1 generator at the base shape, a 5x10 scaling and
+    // perfbench's 50x100 paper_churn shape, and the federated generator
+    // at perfbench's federated_local options.  A generator change meant
+    // to leave its problems alone must pass unchanged.
+    std::string out = problem_line("base", workload::make_base_workload());
+    workload::WorkloadOptions scaled;
+    scaled.flow_replicas = 5;
+    scaled.cnode_replicas = 10;
+    out += problem_line("scaled 5x10", workload::make_scaled_workload(scaled));
+    scaled.flow_replicas = 50;
+    scaled.cnode_replicas = 100;
+    out += problem_line("scaled 50x100", workload::make_scaled_workload(scaled));
+    workload::FederatedWorkloadOptions federated;
+    federated.groups = 40;
+    federated.flows_per_group = 10;
+    federated.cnodes_per_group = 250;
+    federated.tight_groups = 4;
+    out += problem_line("federated 40x10x250", workload::make_federated_workload(federated));
+    check_golden("generated_problem_json", out);
+}
 
 }  // namespace
 
