@@ -18,6 +18,7 @@ struct ParallelLrgpEngine::Cand {
     double value;      ///< U_j(r_i), reused for the Eq. 1 term
     int max_consumers;
     std::uint32_t cls;
+    std::uint32_t flow;
     std::uint32_t slot;  ///< position in the node-class span
 };
 
@@ -79,9 +80,12 @@ ParallelLrgpEngine::ParallelLrgpEngine(model::ProblemSpec spec, LrgpOptions opti
     node_dirty_.assign(compiled_.nodeCount(), 1);
     link_dirty_.assign(compiled_.linkCount(), 1);
     rate_moved_.assign(compiled_.flowCount(), 0);
-    pop_moved_.assign(compiled_.classCount(), 0);
-    node_price_moved_.assign(compiled_.nodeCount(), 0);
-    link_price_moved_.assign(compiled_.linkCount(), 0);
+    pop_moved_.assign(compiled_.flowCount(), 0);
+    node_price_move_.assign(compiled_.nodeCount(), PriceMove::kNone);
+    link_price_move_.assign(compiled_.linkCount(), PriceMove::kNone);
+    price_rose_.assign(compiled_.flowCount(), 0);
+    price_fell_.assign(compiled_.flowCount(), 0);
+    flow_pin_.assign(compiled_.flowCount(), RatePin::kNone);
     node_used_.assign(compiled_.nodeCount(), 0.0);
     node_unmet_bc_.assign(compiled_.nodeCount(), std::nullopt);
     link_usage_.assign(compiled_.linkCount(), 0.0);
@@ -117,7 +121,16 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
     const double hi = cp.flow_rate_max[f];
     const SolveFamily family = cp.flow_family[f];
 
+    // A pin records a bound reached through a bound test: with the
+    // populations fixed, price is a sum of non-negative multiples of the
+    // route prices, and both tests below are monotone in it under
+    // round-to-nearest (with or without FMA contraction).  So at a lower
+    // price derivative_at(hi) >= 0 still holds, at a higher one
+    // derivative_at(hi) still fails and derivative_at(lo) <= 0 still
+    // holds, and the solve would return the same bound.  The interior
+    // closed form and the reference path record no pin.
     double rate;
+    RatePin pin = RatePin::kNone;
     if (family != SolveFamily::kGeneric && options_.rate_solve.allow_closed_form) {
         // Fast path: replicates utility::solve_rate_objective step by step
         // with the virtual dispatch and dynamic_cast family probing
@@ -132,6 +145,7 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 
         if (!any_population) {
             rate = price > 0.0 ? lo : hi;
+            pin = price > 0.0 ? RatePin::kLo : RatePin::kHi;
             if (obs_attached_) alloc_instr_.rate_bound->add(1);
         } else {
             // sum_j n_j U_j'(r) - price at a bound, in term order; the
@@ -157,9 +171,11 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
 
             if (derivative_at(hi) >= 0.0) {
                 rate = hi;
+                pin = RatePin::kHi;
                 if (obs_attached_) alloc_instr_.rate_bound->add(1);
             } else if (derivative_at(lo) <= 0.0) {
                 rate = lo;
+                pin = RatePin::kLo;
                 if (obs_attached_) alloc_instr_.rate_bound->add(1);
             } else {
                 // Combined closed form: W = sum_j n_j w_j in term order.
@@ -206,6 +222,7 @@ void ParallelLrgpEngine::solveFlow(std::size_t f) {
         }
     }
     allocation_.rates[f] = rate;
+    flow_pin_[f] = pin;
 
     // One transcendental per flow; phase 2 turns it into per-class
     // U_j(r) = w_j * trans values (bitwise equal to the virtual calls).
@@ -271,7 +288,7 @@ std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, NodeScratch& scr
         // the ranking (bitwise parity with the serial allocator).
         if (!cp.flow_active[f] || max_consumers == 0 || !(unit_cost > 0.0)) {
             // Unranked: no consumer is admitted.
-            if (allocation_.populations[cls] != 0) pop_moved_[cls] = 1;
+            if (allocation_.populations[cls] != 0) markPopMoved(f);
             allocation_.populations[cls] = 0;
             class_utility_term_[cls] = 0.0;
             scratch.unranked[unranked++] = slot;
@@ -280,7 +297,7 @@ std::uint32_t ParallelLrgpEngine::buildNodeCands(std::size_t b, NodeScratch& scr
         const double value = cp.flow_family[f] == SolveFamily::kGeneric
                                  ? cp.class_utility[cls]->value(rate)
                                  : cp.class_weight[cls] * flow_value_trans_[f];
-        out[count] = {value / unit_cost, unit_cost, value, max_consumers, cls, slot};
+        out[count] = {value / unit_cost, unit_cost, value, max_consumers, cls, f, slot};
         if (count > 0 && BenefitCostOrder{}(out[count], out[count - 1])) sorted = false;
         ++count;
     }
@@ -304,7 +321,7 @@ void ParallelLrgpEngine::admitNode(std::size_t b, const Cand* cands, std::uint32
         const Cand& cand = cands[i];
         const int admitted = greedy_admit_count(remaining, cand.unit_cost, cand.max_consumers);
         remaining -= admitted * cand.unit_cost;
-        if (allocation_.populations[cand.cls] != admitted) pop_moved_[cand.cls] = 1;
+        if (allocation_.populations[cand.cls] != admitted) markPopMoved(cand.flow);
         allocation_.populations[cand.cls] = admitted;
         class_utility_term_[cand.cls] = admitted > 0 ? admitted * cand.value : 0.0;
         if (admitted < cand.max_consumers && !best_unmet_bc) best_unmet_bc = cand.ratio;
@@ -329,10 +346,11 @@ void ParallelLrgpEngine::nodePhase(std::size_t begin, std::size_t end, NodeScrat
         // Eq. 12 always runs: the controller is stateful (adaptive gamma),
         // and a clean node's cached (BC(b,t), used_b) are bitwise the
         // values a re-admission would recompute.
+        const double before = prices_.node[b];
         prices_.node[b] = node_prices_[b].update(node_unmet_bc_[b], node_used_[b],
                                                  cp.node_capacity[b]);
-        node_price_moved_[b] = node_prices_[b].lastMoved() ? 1 : 0;
-        if (node_prices_[b].lastMoved()) ++price_moves;
+        node_price_move_[b] = priceMove(before, prices_.node[b]);
+        if (node_price_move_[b] != PriceMove::kNone) ++price_moves;
     }
 
     if (obs_attached_ && end > begin) {
@@ -359,9 +377,10 @@ void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
             link_usage_[l] = usage;
         }
         // Eq. 13 always runs on the (possibly cached) usage sum.
+        const double before = prices_.link[l];
         prices_.link[l] = link_prices_[l].update(link_usage_[l], cp.link_capacity[l]);
-        link_price_moved_[l] = link_prices_[l].lastMoved() ? 1 : 0;
-        if (link_prices_[l].lastMoved()) ++price_moves;
+        link_price_move_[l] = priceMove(before, prices_.link[l]);
+        if (link_price_move_[l] != PriceMove::kNone) ++price_moves;
     }
     if (obs_attached_ && price_moves > 0) instr_.link_price_moves->add(price_moves);
 }
@@ -369,38 +388,37 @@ void ParallelLrgpEngine::linkPhase(std::size_t begin, std::size_t end) {
 void ParallelLrgpEngine::seedDirtyFlows() {
     const CompiledProblem& cp = compiled_;
 
-    // A node price move dirties every flow with a hop at the node (PB_i).
-    for (std::size_t b = 0; b < node_price_moved_.size(); ++b) {
-        if (!node_price_moved_[b]) continue;
-        node_price_moved_[b] = 0;
-        for (std::size_t e = cp.node_flow_begin[b]; e < cp.node_flow_begin[b + 1]; ++e)
-            flow_dirty_[cp.node_flow_flow[e]] = 1;
-    }
-    // A link price move dirties every flow routed over the link (PL_i).
-    for (std::size_t l = 0; l < link_price_moved_.size(); ++l) {
-        if (!link_price_moved_[l]) continue;
-        link_price_moved_[l] = 0;
-        for (std::size_t e = cp.link_flow_begin[l]; e < cp.link_flow_begin[l + 1]; ++e)
-            flow_dirty_[cp.link_flow_flow[e]] = 1;
-    }
+    // A price move marks every flow whose price reads it, in the array
+    // of its direction: node prices feed PB_i, link prices PL_i.
+    const auto mark = [this](std::vector<PriceMove>& moves,
+                             const std::vector<std::size_t>& flow_begin,
+                             const std::vector<std::uint32_t>& flows) {
+        for (std::size_t r = 0; r < moves.size(); ++r) {
+            if (moves[r] == PriceMove::kNone) continue;
+            std::uint8_t* marks =
+                moves[r] == PriceMove::kRose ? price_rose_.data() : price_fell_.data();
+            moves[r] = PriceMove::kNone;
+            for (std::size_t e = flow_begin[r]; e < flow_begin[r + 1]; ++e) marks[flows[e]] = 1;
+        }
+    };
+    mark(node_price_move_, cp.node_flow_begin, cp.node_flow_flow);
+    mark(link_price_move_, cp.link_flow_begin, cp.link_flow_flow);
+
     // A population move dirties its own flow only: the hop-class spans of
     // PB_i (Eq. 9) and the Eq. 7 terms both range over flow i's own
-    // classes, so no other flow reads n_j.  Dirty bits form a set, so
-    // only the flows the price moves left clean need the scan.
-    for (std::size_t f = 0; f < flow_dirty_.size(); ++f) {
-        if (flow_dirty_[f]) continue;
-        std::uint8_t moved = 0;
-        for (std::size_t e = cp.flow_class_begin[f]; e < cp.flow_class_begin[f + 1]; ++e)
-            moved |= pop_moved_[cp.flow_class_class[e]];
-        flow_dirty_[f] = moved;
-    }
-    std::fill(pop_moved_.begin(), pop_moved_.end(), std::uint8_t{0});
-
+    // classes, so no other flow reads n_j.  A price move dirties the flow
+    // unless its pin rules the direction out.
     dirty_flows_now_ = 0;
     skipped_solves_now_ = 0;
     for (std::size_t f = 0; f < flow_dirty_.size(); ++f) {
+        const RatePin pin = flow_pin_[f];
+        const bool dirty = flow_dirty_[f] != 0 || pop_moved_[f] != 0 ||
+                           (price_rose_[f] != 0 && pin != RatePin::kLo) ||
+                           (price_fell_[f] != 0 && pin != RatePin::kHi);
+        flow_dirty_[f] = dirty ? 1 : 0;
+        pop_moved_[f] = price_rose_[f] = price_fell_[f] = 0;
         if (!cp.flow_active[f]) continue;
-        if (flow_dirty_[f]) ++dirty_flows_now_;
+        if (dirty) ++dirty_flows_now_;
         else ++skipped_solves_now_;
     }
     stats_.dirty_flows += dirty_flows_now_;
@@ -451,6 +469,11 @@ void ParallelLrgpEngine::markAllDirty() {
     std::fill(link_dirty_.begin(), link_dirty_.end(), std::uint8_t{1});
 }
 
+ParallelLrgpEngine::PriceMove ParallelLrgpEngine::priceMove(double before, double after) {
+    if (after > before) return PriceMove::kRose;
+    return after < before ? PriceMove::kFell : PriceMove::kNone;
+}
+
 const IterationRecord& ParallelLrgpEngine::step() {
     const bool obs_on = obs_attached_;
     bool timed = collect_phase_times_;
@@ -458,16 +481,20 @@ const IterationRecord& ParallelLrgpEngine::step() {
     timed = timed || obs_on || (tracer_ && tracer_->sampling());
     std::uint64_t t0 = timed ? obs::monotonic_ns() : 0;
 
-    // Serial pre-step: turn last iteration's moved bits into this
-    // iteration's dirty flows (and count the sets for the stats).
+    // Serial pre-step: turn last iteration's moves into this iteration's
+    // dirty flows (and count the sets for the stats).
     seedDirtyFlows();
+    const std::uint64_t t_solve = timed ? obs::monotonic_ns() : 0;
     pool_->parallelFor(compiled_.flowCount(),
                        [this](std::size_t b, std::size_t e, int) { ratePhase(b, e); });
+    const std::uint64_t t_solved = timed ? obs::monotonic_ns() : 0;
     std::fill(flow_dirty_.begin(), flow_dirty_.end(), std::uint8_t{0});
     // Serial inter-phase step: rate moves dirty the dependent nodes and
     // links before their phases consume the bits.
     propagateRateMoves();
     std::uint64_t t1 = timed ? obs::monotonic_ns() : 0;
+    // The serial dirty-set passes on either side of the solve loop.
+    const std::uint64_t dirty_ns = (t_solve - t0) + (t1 - t_solved);
 
     pool_->parallelFor(compiled_.nodeCount(), [this](std::size_t b, std::size_t e, int w) {
         nodePhase(b, e, *node_scratch_[static_cast<std::size_t>(w)]);
@@ -505,7 +532,8 @@ const IterationRecord& ParallelLrgpEngine::step() {
     if (timed) {
         t4 = obs::monotonic_ns();
         if (collect_phase_times_) {
-            phase_times_.rate_ns += t1 - t0;
+            phase_times_.dirty_ns += dirty_ns;
+            phase_times_.rate_ns += t_solved - t_solve;
             phase_times_.node_ns += t2 - t1;
             phase_times_.link_ns += t3 - t2;
             phase_times_.reduce_ns += t4 - t3;
@@ -531,7 +559,8 @@ const IterationRecord& ParallelLrgpEngine::step() {
         alloc_instr_.greedy_admitted->add(static_cast<std::uint64_t>(admitted_total));
         instr_.utility->set(utility);
         instr_.admitted_consumers->set(static_cast<double>(admitted_total));
-        instr_.phase_rate->observe(static_cast<double>(t1 - t0) * 1e-9);
+        instr_.phase_dirty->observe(static_cast<double>(dirty_ns) * 1e-9);
+        instr_.phase_rate->observe(static_cast<double>(t_solved - t_solve) * 1e-9);
         instr_.phase_node->observe(static_cast<double>(t2 - t1) * 1e-9);
         instr_.phase_link->observe(static_cast<double>(t3 - t2) * 1e-9);
         instr_.phase_reduce->observe(static_cast<double>(t4 - t3) * 1e-9);

@@ -66,10 +66,11 @@ public:
     [[nodiscard]] double price() const noexcept { return price_; }
     [[nodiscard]] double currentGamma() const noexcept;
 
-    /// Whether the most recent update() changed the price bitwise.  The
-    /// incremental engine seeds next iteration's dirty flows from this
-    /// bit; a price that is exactly stationary (e.g. pinned at 0, or the
-    /// update landed on the same double) dirties nothing.
+    /// Whether the most recent update() changed the price bitwise; a
+    /// price that is exactly stationary (e.g. pinned at 0, or the update
+    /// landed on the same double) did not move.  LrgpOptimizer counts
+    /// these moves; the incremental engine compares the prices itself,
+    /// because it also needs the direction.
     [[nodiscard]] bool lastMoved() const noexcept { return last_moved_; }
 
     /// Resets price (and adaptive state) — used when the workload changes

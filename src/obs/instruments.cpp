@@ -22,6 +22,8 @@ SolverInstruments SolverInstruments::resolve(Registry& registry) {
     instruments.iter_seconds = &registry.histogram(
         "lrgp_iteration_seconds", default_time_buckets(), "Wall time per LRGP iteration");
     const std::string phase_help = "Wall time per iteration phase";
+    instruments.phase_dirty = &registry.histogram("lrgp_phase_seconds", default_time_buckets(),
+                                                  phase_help, {{"phase", "dirty"}});
     instruments.phase_rate = &registry.histogram("lrgp_phase_seconds", default_time_buckets(),
                                                  phase_help, {{"phase", "rate"}});
     instruments.phase_node = &registry.histogram("lrgp_phase_seconds", default_time_buckets(),
@@ -138,7 +140,9 @@ IncrementalInstruments IncrementalInstruments::resolve(Registry& registry) {
     instruments.dirty_flows = &registry.counter(
         "lrgp_inc_dirty_flows_total", "Flows whose Eq. 7 rate solve re-ran (dirty inputs)");
     instruments.skipped_solves = &registry.counter(
-        "lrgp_inc_skipped_solves_total", "Active flows whose rate solve was skipped (clean inputs)");
+        "lrgp_inc_skipped_solves_total",
+        "Active flows whose rate solve was skipped (clean inputs, or route prices that moved "
+        "only toward the bound the flow is pinned at)");
     instruments.dirty_nodes = &registry.counter(
         "lrgp_inc_dirty_nodes_total", "Nodes that re-ran greedy admission (dirty incident state)");
     instruments.node_cache_hits = &registry.counter(

@@ -25,6 +25,7 @@ struct SolverInstruments {
     Gauge* utility = nullptr;               ///< lrgp_utility
     Gauge* admitted_consumers = nullptr;    ///< lrgp_admitted_consumers
     Histogram* iter_seconds = nullptr;      ///< lrgp_iteration_seconds
+    Histogram* phase_dirty = nullptr;       ///< lrgp_phase_seconds{phase="dirty"} (incremental)
     Histogram* phase_rate = nullptr;        ///< lrgp_phase_seconds{phase="rate"}
     Histogram* phase_node = nullptr;        ///< lrgp_phase_seconds{phase="node"}
     Histogram* phase_link = nullptr;        ///< lrgp_phase_seconds{phase="link"}

@@ -21,6 +21,7 @@
 #include "lrgp/task_pool.hpp"
 #include "model/problem.hpp"
 #include "utility/utility_function.hpp"
+#include "workload/federated.hpp"
 #include "workload/random_workload.hpp"
 #include "workload/workloads.hpp"
 
@@ -271,6 +272,149 @@ TEST(ParallelEngine, IncrementalSteadyWorkloadEngagesCaches) {
     EXPECT_EQ(tail.node_cache_hits - stats.node_cache_hits, kTail * spec.nodeCount());
     EXPECT_EQ(tail.dirty_links - stats.dirty_links, 0u);
     EXPECT_EQ(tail.utility_cache_hits - stats.utility_cache_hits, kTail);
+}
+
+/// Counts, over consecutive records, the situations the pin rule
+/// decides for a flow's next solve.  The solve in record `now` reads the
+/// prices and populations of `old`; a move is the change from `older`
+/// to `old`.
+struct PinCases {
+    int lo_under_rise = 0;    ///< at r_min, route prices only rose, populations fixed
+    int hi_under_fall = 0;    ///< at r_max, route prices only fell, populations fixed
+    int hi_under_rise = 0;    ///< at r_max, a route price rose, populations fixed
+    int hi_left_by_rise = 0;  ///< ... and the solve left r_max
+    /// At a bound, populations moved, no price moved the way that could
+    /// move the flow off it, and the solve left the bound.
+    int bound_left_by_populations = 0;
+};
+
+void tally_pin_cases(const model::ProblemSpec& spec, const core::IterationRecord& older,
+                     const core::IterationRecord& old, const core::IterationRecord& now,
+                     PinCases& cases) {
+    for (const model::FlowSpec& f : spec.flows()) {
+        bool rose = false, fell = false;
+        for (const model::FlowNodeHop& hop : f.nodes) {
+            const std::size_t b = hop.node.index();
+            rose = rose || old.prices.node[b] > older.prices.node[b];
+            fell = fell || old.prices.node[b] < older.prices.node[b];
+        }
+        for (const model::FlowLinkHop& hop : f.links) {
+            const std::size_t l = hop.link.index();
+            rose = rose || old.prices.link[l] > older.prices.link[l];
+            fell = fell || old.prices.link[l] < older.prices.link[l];
+        }
+        bool pops_fixed = true;
+        for (model::ClassId j : spec.classesOfFlow(f.id))
+            pops_fixed = pops_fixed && old.allocation.populations[j.index()] ==
+                                           older.allocation.populations[j.index()];
+        const double rate = old.allocation.rates[f.id.index()];
+        const double next = now.allocation.rates[f.id.index()];
+        if (!pops_fixed) {
+            if (((rate == f.rate_max && !rose) || (rate == f.rate_min && !fell)) && next != rate)
+                ++cases.bound_left_by_populations;
+            continue;
+        }
+        if (rate == f.rate_min && rose && !fell) ++cases.lo_under_rise;
+        if (rate == f.rate_max && fell && !rose) ++cases.hi_under_fall;
+        if (rate == f.rate_max && rose) {
+            ++cases.hi_under_rise;
+            if (next < f.rate_max) ++cases.hi_left_by_rise;
+        }
+    }
+}
+
+/// The counts a change of the dirty rules moves, as deltas from `a` to `b`.
+std::vector<std::uint64_t> stats_delta(const core::IncrementalStats& a,
+                                       const core::IncrementalStats& b) {
+    return {b.dirty_flows - a.dirty_flows, b.skipped_solves - a.skipped_solves,
+            b.dirty_nodes - a.dirty_nodes, b.node_cache_hits - a.node_cache_hits,
+            b.dirty_links - a.dirty_links, b.utility_cache_hits - a.utility_cache_hits};
+}
+
+TEST(ParallelEngine, PinnedFlowsSkipExactlyThroughSqueezeAndRestore) {
+    // Three federated groups, one tight.  After a cold solve the loose
+    // groups' flows sit at r_max and their c-node prices at 0.  Then a
+    // loose c-node is squeezed to a fifth and one flow through it loses
+    // every consumer: the squeezed price rises, so flows pinned at r_max
+    // re-solve and some leave it, and the emptied flow drops to r_min
+    // and stays pinned there while that price keeps rising.  Restoring
+    // both lets the price decay toward 0 for thousands of iterations,
+    // which re-solves no flow back at r_max.  Every record is compared
+    // bitwise with the serial optimizer at 1, 2 and 4 threads, and the
+    // skipped solves are counted exactly.
+    workload::FederatedWorkloadOptions options;
+    options.groups = 3;
+    options.flows_per_group = 3;
+    options.cnodes_per_group = 4;
+    options.tight_groups = 1;
+    const model::ProblemSpec spec = workload::make_federated_workload(options);
+    const model::NodeId squeezed = workload::find_node(spec, "g1_S0");
+    const double capacity = spec.node(squeezed).capacity;
+    const model::FlowId emptied = workload::find_flow(spec, "g1_f0");
+
+    core::LrgpOptimizer serial(spec);
+    core::ParallelLrgpEngine e1(spec, {}, {.threads = 1});
+    core::ParallelLrgpEngine e2(spec, {}, {.threads = 2});
+    core::ParallelLrgpEngine e4(spec, {}, {.threads = 4});
+    const auto apply = [&](auto&& op) {
+        op(static_cast<core::Engine&>(serial));
+        for (core::Engine* engine : {&e1, &e2, &e4}) op(*engine);
+    };
+    std::vector<core::IterationRecord> records;
+    PinCases cases;
+    const auto run = [&](int iterations) {
+        for (int it = 0; it < iterations; ++it) {
+            SCOPED_TRACE(testing::Message() << "iteration " << serial.iterationsRun() + 1);
+            const core::IterationRecord& s = serial.step();
+            for (core::ParallelLrgpEngine* engine : {&e1, &e2, &e4}) {
+                SCOPED_TRACE(testing::Message() << engine->threadCount() << " threads");
+                expect_identical(s, engine->step());
+                if (testing::Test::HasFatalFailure()) return;
+            }
+            records.push_back(s);
+            const std::size_t n = records.size();
+            if (n >= 3) tally_pin_cases(spec, records[n - 3], records[n - 2], s, cases);
+        }
+        // The per-flow population flags are set from several workers;
+        // the dirty sets they seed must not depend on the thread count.
+        EXPECT_EQ(stats_delta({}, e2.incrementalStats()), stats_delta({}, e1.incrementalStats()));
+        EXPECT_EQ(stats_delta({}, e4.incrementalStats()), stats_delta({}, e1.incrementalStats()));
+    };
+
+    run(200);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    const core::IncrementalStats cold = e1.incrementalStats();
+    apply([&](core::Engine& e) {
+        e.setNodeCapacity(squeezed, 0.2 * capacity);
+        for (model::ClassId j : spec.classesOfFlow(emptied)) e.setClassMaxConsumers(j, 0);
+    });
+    run(200);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    const core::IncrementalStats squeeze = e1.incrementalStats();
+    apply([&](core::Engine& e) {
+        e.setNodeCapacity(squeezed, capacity);
+        for (model::ClassId j : spec.classesOfFlow(emptied))
+            e.setClassMaxConsumers(j, spec.consumerClass(j).max_consumers);
+    });
+    run(300);
+    ASSERT_FALSE(testing::Test::HasFailure());
+    const core::IncrementalStats restore = e1.incrementalStats();
+
+    // The scenario reaches every case the pin rule decides.
+    EXPECT_GE(cases.lo_under_rise, 1);
+    EXPECT_GE(cases.hi_under_fall, 1);
+    EXPECT_GE(cases.hi_under_rise, 1);
+    EXPECT_GE(cases.hi_left_by_rise, 1);
+    EXPECT_GE(cases.bound_left_by_populations, 1);
+
+    // Exact counts: dirty flows, skipped solves, dirty nodes, node cache
+    // hits, dirty links (the workload has none) and Eq. 1 sum reuses.
+    // Without the pin rule the restore phase re-solves the squeezed
+    // group's flows on every iteration.
+    using Counts = std::vector<std::uint64_t>;
+    EXPECT_EQ(stats_delta({}, cold), (Counts{612, 1188, 811, 2189, 0, 0}));
+    EXPECT_EQ(stats_delta(cold, squeeze), (Counts{1009, 791, 1588, 1412, 0, 0}));
+    EXPECT_EQ(stats_delta(squeeze, restore), (Counts{931, 1769, 1312, 3188, 0, 0}));
 }
 
 TEST(ParallelEngine, CapacityOnlyChangeReadmitsOneNode) {
@@ -540,7 +684,7 @@ TEST(ParallelEngine, PhaseTimesAccumulateWhenEnabled) {
     engine.run(10);
     const core::PhaseTimes& t = engine.phaseTimes();
     EXPECT_EQ(t.iterations, 10u);
-    EXPECT_GT(t.rate_ns + t.node_ns + t.link_ns + t.reduce_ns, 0u);
+    EXPECT_GT(t.dirty_ns + t.rate_ns + t.node_ns + t.link_ns + t.reduce_ns, 0u);
 }
 
 TEST(ParallelEngine, DynamicOpContractsMatchSerial) {
