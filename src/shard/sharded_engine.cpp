@@ -185,18 +185,23 @@ std::optional<int> ShardedLrgpEngine::runUntilConverged(int max_iterations) {
     int advanced = 0;
     while (advanced < max_iterations) {
         const int round = std::min(kReconcileInterval, max_iterations - advanced);
+        // A member that does not step keeps the allocation and prices of
+        // its last merge: reconcile edits only capacities, and every op
+        // that edits an allocation merges the member itself.
         pool_->forEachMergeOrdered(
             members_.size(),
             [this, round](std::size_t s, int) {
                 Member& member = members_[s];
-                if (!member.engine) return;
-                if (member.engine->convergence().converged()) return;
+                member.stepped = member.engine && !member.engine->convergence().converged();
+                if (!member.stepped) return;
                 for (int i = 0; i < round; ++i) {
                     member.last_utility = member.engine->step().utility;
                     if (member.engine->convergence().converged()) break;
                 }
             },
-            [this](std::size_t s) { mergeMember(s); });
+            [this](std::size_t s) {
+                if (members_[s].stepped) mergeMember(s);
+            });
         publishRecord();
         bool moved = false;
         reconcile(moved);

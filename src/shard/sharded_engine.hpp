@@ -18,7 +18,8 @@
 //     monolithic incremental ParallelLrgpEngine.
 //   * runUntilConverged() gates converged shards: a shard whose local
 //     detector fired stops stepping (and costing) until a reconcile
-//     pass changes one of its budgets.  The run is converged when every
+//     pass changes one of its budgets, and is not re-merged meanwhile
+//     (its allocation and prices are those of its last merge).  The run is converged when every
 //     shard's detector fired and the last reconcile pass moved no
 //     budget above the hysteresis threshold; the remaining optimality
 //     gap is bounded by the frozen boundary-budget split (measured
@@ -158,6 +159,7 @@ private:
         std::vector<std::pair<std::uint32_t, std::uint32_t>> own_nodes;
         std::vector<std::pair<std::uint32_t, std::uint32_t>> own_links;
         double last_utility = 0.0;
+        bool stepped = false;  ///< stepped in the current gated pass
         std::uint64_t obs_iterations = 0;  ///< iterations already exported
     };
 

@@ -18,6 +18,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "lrgp/parallel_engine.hpp"
@@ -420,6 +421,66 @@ TEST(ShardedEngine, DynamicOpLandsInOwningShardOnly) {
                 EXPECT_LE(relative_gap(mono.currentUtility(), steady.currentUtility()), 0.01);
             }
         }
+    }
+}
+
+/// The merged allocation against every member's own, bitwise: each
+/// flow's rate through shardOfFlow and localFlowId, and each class's
+/// population, mapped by name through the member's problem().
+void expect_merged_matches_members(const shard::ShardedLrgpEngine& engine,
+                                   const std::unordered_map<std::string, std::size_t>& classes) {
+    const model::Allocation& merged = engine.allocation();
+    for (const model::FlowSpec& f : engine.problem().flows()) {
+        const core::Engine& member = engine.shardEngine(engine.shardOfFlow(f.id));
+        ASSERT_EQ(merged.rates[f.id.index()],
+                  member.allocation().rates[engine.localFlowId(f.id).index()])
+            << "flow " << f.name;
+    }
+    for (int s = 0; s < engine.shardCount(); ++s) {
+        if (engine.summaries()[static_cast<std::size_t>(s)].flows == 0) continue;
+        const core::Engine& member = engine.shardEngine(s);
+        for (const model::ClassSpec& c : member.problem().classes())
+            ASSERT_EQ(merged.populations[classes.at(c.name)],
+                      member.allocation().populations[c.id.index()])
+                << "class " << c.name << " in shard " << s;
+    }
+}
+
+TEST(ShardedEngine, GatedRoundsMergeEveryMemberThatStepped) {
+    // Gated rounds merge only the members that stepped.  After every
+    // round (one reconcile interval per runUntilConverged call) the
+    // merged allocation must still equal each member's, through the
+    // cold solve, reconcile wakeups at the coupled hub, a squeeze and
+    // restore of a c-node, and a flow's departure and return.
+    const model::ProblemSpec spec = workload::make_federated_workload(coupled_options());
+    std::unordered_map<std::string, std::size_t> classes;
+    for (const model::ClassSpec& c : spec.classes()) classes.emplace(c.name, c.id.index());
+    const model::NodeId node = workload::find_node(spec, "g3_S2");
+    const model::FlowId flow = workload::find_flow(spec, "g5_f1");
+    for (int k : {4, 8}) {
+        SCOPED_TRACE("K=" + std::to_string(k));
+        shard::ShardedLrgpEngine engine(spec, {}, config_for(k));
+        // At most 60 rounds per phase: at K=8 one shard keeps stepping
+        // through a whole phase while the others stay gated, which is
+        // the case the merge rule has to get right.
+        const auto rounds = [&] {
+            for (int round = 0; round < 60; ++round) {
+                const bool done = engine.runUntilConverged(shard::kReconcileInterval).has_value();
+                expect_merged_matches_members(engine, classes);
+                if (done || testing::Test::HasFatalFailure()) return;
+            }
+        };
+        rounds();
+        engine.setNodeCapacity(node, 0.5 * spec.node(node).capacity);
+        rounds();
+        engine.setNodeCapacity(node, spec.node(node).capacity);
+        rounds();
+        engine.removeFlow(flow);
+        rounds();
+        engine.restoreFlow(flow);
+        rounds();
+        if (testing::Test::HasFatalFailure()) return;
+        EXPECT_GT(engine.reconcileStats().shard_wakeups, 0u);
     }
 }
 
