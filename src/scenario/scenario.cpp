@@ -5,8 +5,8 @@
 #include <map>
 #include <random>
 #include <set>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "utility/utility_function.hpp"
 
@@ -368,25 +368,19 @@ ScenarioSpec build_scenario(const ScenarioOptions& options) {
     model::ProblemBuilder builder;
     std::vector<model::NodeId> node_ids;
     node_ids.reserve(overlay.nodeCount());
-    for (std::size_t b = 0; b < overlay.nodeCount(); ++b) {
-        std::ostringstream name;
-        name << "n" << b;
-        node_ids.push_back(builder.addNode(name.str(), node_capacity[b]));
-    }
+    for (std::size_t b = 0; b < overlay.nodeCount(); ++b)
+        node_ids.push_back(builder.addNode("n" + std::to_string(b), node_capacity[b]));
     std::map<std::pair<std::uint32_t, std::uint32_t>, model::LinkId> link_ids;
-    for (const auto& [hop, capacity] : link_capacity) {
-        std::ostringstream name;
-        name << "l" << hop.first << "_" << hop.second;
-        link_ids.emplace(hop, builder.addLink(name.str(), node_ids[hop.first],
-                                              node_ids[hop.second], capacity));
-    }
+    for (const auto& [hop, capacity] : link_capacity)
+        link_ids.emplace(hop, builder.addLink("l" + std::to_string(hop.first) + "_" +
+                                                  std::to_string(hop.second),
+                                              node_ids[hop.first], node_ids[hop.second],
+                                              capacity));
     std::vector<model::FlowId> flow_ids;
     for (std::size_t f = 0; f < flows.size(); ++f) {
         const FlowPlan& plan = flows[f];
-        std::ostringstream name;
-        name << "f" << f;
-        const model::FlowId id =
-            builder.addFlow(name.str(), node_ids[plan.source], plan.rate_min, plan.rate_max);
+        const model::FlowId id = builder.addFlow("f" + std::to_string(f), node_ids[plan.source],
+                                                 plan.rate_min, plan.rate_max);
         flow_ids.push_back(id);
         for (const auto& [node, cost] : plan.node_cost)
             builder.routeThroughNode(id, node_ids[node], cost);
@@ -395,9 +389,9 @@ ScenarioSpec build_scenario(const ScenarioOptions& options) {
     }
     for (std::size_t j = 0; j < classes.size(); ++j) {
         const ClassPlan& cls = classes[j];
-        std::ostringstream name;
-        name << "f" << cls.flow << "_c" << (j % static_cast<std::size_t>(options.classes_per_flow));
-        builder.addClass(name.str(), flow_ids[cls.flow], node_ids[cls.node], cls.base_population,
+        const std::size_t slot = j % static_cast<std::size_t>(options.classes_per_flow);
+        builder.addClass("f" + std::to_string(cls.flow) + "_c" + std::to_string(slot),
+                         flow_ids[cls.flow], node_ids[cls.node], cls.base_population,
                          cls.consumer_cost, cls.utility);
     }
     out.problem = builder.build();

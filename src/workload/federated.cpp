@@ -1,7 +1,7 @@
 #include "workload/federated.hpp"
 
-#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace lrgp::workload {
@@ -77,11 +77,10 @@ model::ProblemSpec make_federated_workload(const FederatedWorkloadOptions& optio
                         (static_cast<std::uint64_t>(f) << 20) ^ static_cast<std::uint64_t>(c),
                     options.min_consumers, options.max_consumers);
 
-        std::ostringstream pname;
-        pname << "g" << g << "_P";
+        const std::string group = "g" + std::to_string(g);
         // The producer carries no cost (flows route only through
         // c-nodes), so its capacity never constrains the optimization.
-        const model::NodeId producer = builder.addNode(pname.str(), 1e9);
+        const model::NodeId producer = builder.addNode(group + "_P", 1e9);
 
         std::vector<model::NodeId> cnodes;
         cnodes.reserve(static_cast<std::size_t>(options.cnodes_per_group));
@@ -91,16 +90,13 @@ model::ProblemSpec make_federated_workload(const FederatedWorkloadOptions& optio
                 demand += (options.flow_node_cost +
                            options.consumer_cost * static_cast<double>(n_max[f][c])) *
                           options.rate_max;
-            std::ostringstream name;
-            name << "g" << g << "_S" << c;
-            cnodes.push_back(builder.addNode(name.str(), demand * factor));
+            cnodes.push_back(builder.addNode(group + "_S" + std::to_string(c), demand * factor));
         }
 
         for (int f = 0; f < options.flows_per_group; ++f) {
-            std::ostringstream fname;
-            fname << "g" << g << "_f" << f;
+            const std::string flow_name = group + "_f" + std::to_string(f);
             const model::FlowId flow =
-                builder.addFlow(fname.str(), producer, options.rate_min, options.rate_max);
+                builder.addFlow(flow_name, producer, options.rate_min, options.rate_max);
             if (f == 0 && options.coupling_cost > 0.0)
                 builder.routeThroughNode(flow, hub, options.coupling_cost);
             for (int c = 0; c < options.cnodes_per_group; ++c) {
@@ -112,11 +108,9 @@ model::ProblemSpec make_federated_workload(const FederatedWorkloadOptions& optio
                                static_cast<std::uint64_t>(c),
                            options.min_rank, options.max_rank) *
                     (tight ? options.tight_rank_boost : 1.0);
-                std::ostringstream cname;
-                cname << "g" << g << "_f" << f << "_S" << c;
-                builder.addClass(cname.str(), flow, cnodes[static_cast<std::size_t>(c)],
-                                 n_max[f][c], options.consumer_cost,
-                                 make_class_utility(options.shape, rank));
+                builder.addClass(flow_name + "_S" + std::to_string(c), flow,
+                                 cnodes[static_cast<std::size_t>(c)], n_max[f][c],
+                                 options.consumer_cost, make_class_utility(options.shape, rank));
             }
         }
     }

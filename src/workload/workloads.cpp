@@ -1,8 +1,8 @@
 #include "workload/workloads.hpp"
 
 #include <array>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace lrgp::workload {
 
@@ -71,34 +71,35 @@ model::ProblemSpec make_scaled_workload(const WorkloadOptions& options) {
 
     model::ProblemBuilder builder;
 
+    // A class's utility depends only on its template's rank, and
+    // utilities are immutable, so every class of a template shares one.
+    std::array<std::shared_ptr<const utility::UtilityFunction>, kBaseClassPairs.size()> utilities;
+    for (std::size_t t = 0; t < kBaseClassPairs.size(); ++t)
+        utilities[t] = make_class_utility(options.shape, kBaseClassPairs[t].rank);
+
     for (int rep = 0; rep < options.flow_replicas; ++rep) {
+        const std::string replica = std::to_string(rep);
         // One producer node per replica hosts all six flow sources.  It
         // carries no cost (flows are routed only to c-nodes), so it never
         // constrains the optimization.
-        std::ostringstream pname;
-        pname << "r" << rep << "_P";
-        const model::NodeId producer = builder.addNode(pname.str(), options.node_capacity);
+        const model::NodeId producer = builder.addNode("r" + replica + "_P", options.node_capacity);
 
         // cnode_replicas copies of each of S0, S1, S2.
         // cnodes[s][c] = the c-th copy of S<s>.
         std::vector<std::vector<model::NodeId>> cnodes(kCNodesPerReplica);
         for (int s = 0; s < kCNodesPerReplica; ++s) {
             for (int c = 0; c < options.cnode_replicas; ++c) {
-                std::ostringstream name;
-                name << "r" << rep << "_S" << s;
-                if (options.cnode_replicas > 1) name << "#" << c;
-                cnodes[s].push_back(builder.addNode(name.str(), options.node_capacity));
+                std::string name = "r" + replica + "_S" + std::to_string(s);
+                if (options.cnode_replicas > 1) name += "#" + std::to_string(c);
+                cnodes[s].push_back(builder.addNode(std::move(name), options.node_capacity));
             }
         }
 
         std::vector<model::FlowId> flows;
         flows.reserve(kFlowsPerReplica);
-        for (int f = 0; f < kFlowsPerReplica; ++f) {
-            std::ostringstream name;
-            name << "f" << rep << "_" << f;
-            flows.push_back(
-                builder.addFlow(name.str(), producer, options.rate_min, options.rate_max));
-        }
+        for (int f = 0; f < kFlowsPerReplica; ++f)
+            flows.push_back(builder.addFlow("f" + replica + "_" + std::to_string(f), producer,
+                                            options.rate_min, options.rate_max));
 
         // Route each flow through every copy of every c-node that hosts one
         // of its classes (two-stage approximation, Section 2.4), then attach
@@ -117,16 +118,16 @@ model::ProblemSpec make_scaled_workload(const WorkloadOptions& options) {
                         builder.routeThroughNode(flows[f], node, options.flow_node_cost);
 
         int class_counter = 0;
-        for (const ClassPairTemplate& t : kBaseClassPairs) {
+        for (std::size_t ti = 0; ti < kBaseClassPairs.size(); ++ti) {
+            const ClassPairTemplate& t = kBaseClassPairs[ti];
             for (int side = 0; side < 2; ++side) {
                 const int s = (side == 0) ? t.node_a : t.node_b;
+                const std::string prefix = "r" + replica + "_c" + std::to_string(class_counter);
                 for (int c = 0; c < options.cnode_replicas; ++c) {
-                    std::ostringstream name;
-                    name << "r" << rep << "_c" << class_counter;
-                    if (options.cnode_replicas > 1) name << "#" << c;
-                    builder.addClass(name.str(), flows[t.flow], cnodes[s][c], t.max_consumers,
-                                     options.consumer_cost,
-                                     make_class_utility(options.shape, t.rank));
+                    std::string name = prefix;
+                    if (options.cnode_replicas > 1) name += "#" + std::to_string(c);
+                    builder.addClass(std::move(name), flows[t.flow], cnodes[s][c],
+                                     t.max_consumers, options.consumer_cost, utilities[ti]);
                 }
                 ++class_counter;
             }
