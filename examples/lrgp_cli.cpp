@@ -26,6 +26,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "baseline/annealing.hpp"
@@ -145,7 +146,12 @@ void printUsage() {
         "  --help                     this message");
 }
 
-std::optional<CliOptions> parseArgs(int argc, char** argv) {
+/// parseArgs' result: the options to run with, or the status to exit with
+/// at once (0 after the usage text, kBadArguments after a reported error).
+using ParsedArgs = std::variant<CliOptions, int>;
+constexpr int kBadArguments = 2;
+
+ParsedArgs parseArgs(int argc, char** argv) {
     CliOptions options;
     std::vector<std::string> given;  // every flag, in command-line order
     for (int i = 1; i < argc; ++i) {
@@ -174,134 +180,134 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
         };
         if (arg == "--help" || arg == "-h") {
             printUsage();
-            return std::nullopt;
+            return 0;
         } else if (arg == "--workload") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.workload = v;
             if (options.workload != "base" && options.workload != "random") {
                 std::fprintf(stderr, "error: unknown workload '%s'\n", v);
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--scenario") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.scenario = v;
         } else if (arg == "--list-scenarios") {
             options.list_scenarios = true;
         } else if (arg == "--engine") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.engine = v;
         } else if (arg == "--shards") {
-            if (!number(options.shards)) return std::nullopt;
+            if (!number(options.shards)) return kBadArguments;
             if (options.shards < 1) {
                 std::fprintf(stderr, "error: --shards must be >= 1\n");
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--agents") {
-            if (!number(options.agents)) return std::nullopt;
+            if (!number(options.agents)) return kBadArguments;
             if (options.agents < 1 || options.agents > kMaxThreads) {
                 std::fprintf(stderr, "error: --agents must be in [1, %d]\n", kMaxThreads);
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--seconds") {
-            if (!number(options.seconds)) return std::nullopt;
+            if (!number(options.seconds)) return kBadArguments;
             if (!(options.seconds > 0.0 && options.seconds <= kMaxSeconds)) {
                 std::fprintf(stderr, "error: --seconds must be in (0, %g]\n", kMaxSeconds);
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--threads") {
-            if (!number(options.threads)) return std::nullopt;
+            if (!number(options.threads)) return kBadArguments;
             if (options.threads < 0 || options.threads > kMaxThreads) {
                 std::fprintf(stderr, "error: --threads must be in [0, %d]\n", kMaxThreads);
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--shape") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             if (std::strcmp(v, "log") == 0) options.shape = workload::UtilityShape::kLog;
             else if (std::strcmp(v, "p025") == 0) options.shape = workload::UtilityShape::kPow025;
             else if (std::strcmp(v, "p05") == 0) options.shape = workload::UtilityShape::kPow05;
             else if (std::strcmp(v, "p075") == 0) options.shape = workload::UtilityShape::kPow075;
             else {
                 std::fprintf(stderr, "error: unknown shape '%s'\n", v);
-                return std::nullopt;
+                return kBadArguments;
             }
         } else if (arg == "--flow-replicas") {
-            if (!number(options.flow_replicas)) return std::nullopt;
+            if (!number(options.flow_replicas)) return kBadArguments;
         } else if (arg == "--cnode-replicas") {
-            if (!number(options.cnode_replicas)) return std::nullopt;
+            if (!number(options.cnode_replicas)) return kBadArguments;
         } else if (arg == "--seed") {
-            if (!number(options.seed)) return std::nullopt;
+            if (!number(options.seed)) return kBadArguments;
         } else if (arg == "--gamma") {
             double gamma = 0.0;
-            if (!number(gamma)) return std::nullopt;
+            if (!number(gamma)) return kBadArguments;
             options.fixed_gamma = gamma;
         } else if (arg == "--iterations") {
-            if (!number(options.iterations)) return std::nullopt;
+            if (!number(options.iterations)) return kBadArguments;
         } else if (arg == "--two-stage") {
             options.two_stage = true;
         } else if (arg == "--sa") {
             options.run_sa = true;
         } else if (arg == "--sa-steps") {
-            if (!number(options.sa_steps)) return std::nullopt;
+            if (!number(options.sa_steps)) return kBadArguments;
         } else if (arg == "--csv") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.csv_path = v;
         } else if (arg == "--obs-out") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.obs_prefix = v;
         } else if (arg == "--obs-sample") {
-            if (!number(options.obs_sample)) return std::nullopt;
+            if (!number(options.obs_sample)) return kBadArguments;
         } else if (arg == "--save") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.save_path = v;
         } else if (arg == "--load") {
             const char* v = next();
-            if (!v) return std::nullopt;
+            if (!v) return kBadArguments;
             options.load_path = v;
         } else if (arg == "--enact") {
             options.enact = true;
         } else if (arg == "--enact-deadband") {
-            if (!number(options.enact_deadband)) return std::nullopt;
+            if (!number(options.enact_deadband)) return kBadArguments;
             options.enact = true;
         } else if (arg == "--dataplane") {
             const char* v = next();
-            if (v == nullptr) return std::nullopt;
+            if (v == nullptr) return kBadArguments;
             options.dataplane = v;
             options.enact = true;
         } else if (arg == "--dataplane-workers") {
-            if (!number(options.dataplane_workers)) return std::nullopt;
+            if (!number(options.dataplane_workers)) return kBadArguments;
             options.enact = true;
         } else if (arg == "--enact-interval") {
-            if (!number(options.enact_interval)) return std::nullopt;
+            if (!number(options.enact_interval)) return kBadArguments;
             options.enact = true;
         } else if (arg == "--classes") {
             options.verbose_classes = true;
         } else {
             std::fprintf(stderr, "error: unknown option '%s' (try --help)\n", arg.c_str());
-            return std::nullopt;
+            return kBadArguments;
         }
     }
     if (options.iterations <= 0 || options.flow_replicas < 1 || options.cnode_replicas < 1) {
         std::fprintf(stderr, "error: non-positive numeric option\n");
-        return std::nullopt;
+        return kBadArguments;
     }
     if (options.dataplane != "sim" && options.dataplane != "fast") {
         std::fprintf(stderr, "error: --dataplane must be sim or fast\n");
-        return std::nullopt;
+        return kBadArguments;
     }
     if (options.dataplane_workers < 0 || options.dataplane_workers > kMaxThreads) {
         std::fprintf(stderr, "error: --dataplane-workers must be in [0, %d]\n", kMaxThreads);
-        return std::nullopt;
+        return kBadArguments;
     }
     if (options.enact && (options.enact_deadband < 0.0 || options.enact_interval <= 0.0)) {
         std::fprintf(stderr, "error: --enact-deadband must be >= 0, --enact-interval > 0\n");
-        return std::nullopt;
+        return kBadArguments;
     }
     // The scenario replay reads only these flags (and drives only the
     // event dataplane); any other flag would be dropped without a word.
@@ -313,13 +319,13 @@ std::optional<CliOptions> parseArgs(int argc, char** argv) {
             if (!kScenarioFlags.contains(flag)) {
                 std::fprintf(stderr, "error: %s is not supported with --scenario\n",
                              flag.c_str());
-                return std::nullopt;
+                return kBadArguments;
             }
         }
         if (options.dataplane != "sim") {
             std::fprintf(stderr, "error: --dataplane %s is not supported with --scenario\n",
                          options.dataplane.c_str());
-            return std::nullopt;
+            return kBadArguments;
         }
     }
     return options;
@@ -716,12 +722,12 @@ int run(const CliOptions& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    const auto parsed = parseArgs(argc, argv);
-    if (!parsed) return argc > 1 && std::string(argv[1]) == "--help" ? 0 : 2;
+    const ParsedArgs parsed = parseArgs(argc, argv);
+    if (const int* status = std::get_if<int>(&parsed)) return *status;
     // Malformed problem files, unknown engine or scenario names and
     // unsupported option combinations all surface as exceptions.
     try {
-        return run(*parsed);
+        return run(std::get<CliOptions>(parsed));
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
