@@ -11,6 +11,11 @@
 //     script at node capacity x0.25, so gates contend, queue and drop.
 //     The fastpath runs are also replayed at 2 and 4 workers and must
 //     give the same bytes.
+//   * perfbench's fanout_loop cell (k = 8, 400 flows, 2e4 classes): a
+//     cold solve enacted into the fastpath, then 200 quanta of enacts,
+//     a flow off and on, and a node squeeze and restore.  statsJson and
+//     both utility traces are pinned as sizes and FNV-1a hashes, at 1
+//     and 4 workers.
 //
 // Because both engines are bitwise deterministic (and the fastpath
 // across worker counts), the text is stable across runs, machines, and
@@ -21,6 +26,8 @@
 // then review the fixture diff like any other code change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -30,6 +37,8 @@
 
 #include "dataplane/dataplane.hpp"
 #include "fastpath/fastpath.hpp"
+#include "lrgp/parallel_engine.hpp"
+#include "metrics/time_series.hpp"
 #include "model/allocation.hpp"
 #include "model/problem.hpp"
 #include "obs/metrics.hpp"
@@ -210,6 +219,117 @@ TEST(PlantGolden, FastpathContendedStatsJson) {
     for (const int workers : {2, 4}) {
         EXPECT_EQ(fastpathStatsJson(0.25, workers), json) << "workers=" << workers;
     }
+}
+
+// ------------------------------------------------ fanout cell pin
+
+/// 64-bit FNV-1a of a byte stream.
+std::uint64_t fnv1a(std::string_view bytes) {
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
+std::string stream_line(const std::string& name, std::size_t count, std::string_view bytes) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s count=%zu fnv1a=%016llx\n", name.c_str(), count,
+                  static_cast<unsigned long long>(fnv1a(bytes)));
+    return buf;
+}
+
+std::string trace_line(const std::string& name, const metrics::TimeSeries& trace) {
+    std::string text;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a\n", trace[i]);
+        text += buf;
+    }
+    return stream_line(name, trace.size(), text);
+}
+
+/// perfbench's fanout_loop cell: k = 8 fat tree, 400 flows x 50
+/// classes, heavy-tail traffic, shifted-log utilities, seed 1.
+const scenario::ScenarioSpec& fanoutCell() {
+    static const scenario::ScenarioSpec cell = [] {
+        scenario::ScenarioOptions options;
+        options.topology = "fat_tree";
+        options.fat_tree_k = 8;
+        options.flows = 400;
+        options.classes_per_flow = 50;
+        options.traffic = "heavy_tail";
+        options.utility = "shifted_log";
+        options.seed = 1;
+        return scenario::build_scenario(options);
+    }();
+    return cell;
+}
+
+const model::Allocation& fanoutColdSolve() {
+    static const model::Allocation solved = [] {
+        core::ParallelLrgpEngine engine(fanoutCell().problem, core::LrgpOptions{},
+                                        core::EngineConfig{.threads = 1});
+        engine.runUntilConverged(4000);
+        return engine.allocation();
+    }();
+    return solved;
+}
+
+/// The cold solve enacted, then 200 quanta (10 s at 50 ms) through a
+/// schedule that moves every gate state the fastpath keeps: an enact
+/// that thins populations and overdrives every fourth flow 2.5x (links
+/// queue and carry waits), one flow off and back on, and a squeeze of
+/// eight nodes to a fifth of their capacity (queues, drops, deficits,
+/// debt) and its restore.  Returns the statsJson and both utility
+/// traces as sizes and FNV-1a hashes.
+std::string fanoutPinText(int workers) {
+    const model::ProblemSpec& spec = fanoutCell().problem;
+    const model::Allocation& solved = fanoutColdSolve();
+    model::Allocation moved = solved;
+    for (std::size_t i = 0; i < moved.rates.size(); i += 4) moved.rates[i] *= 2.5;
+    for (std::size_t j = 0; j < moved.populations.size(); ++j) {
+        if (j % 3 == 0) moved.populations[j] /= 2;
+        if (j % 7 == 0) moved.populations[j] = 0;
+    }
+
+    fastpath::FastpathOptions options;
+    options.workers = workers;
+    fastpath::Fastpath fp(spec, options);
+    fp.notePlanned(solved);
+    fp.enact(solved);
+    fp.runUntil(2.0);
+    fp.notePlanned(moved);
+    fp.enact(moved);
+    fp.runUntil(4.0);
+    fp.setFlowActive(model::FlowId{5}, false);
+    fp.runUntil(5.0);
+    fp.setFlowActive(model::FlowId{5}, true);
+    fp.runUntil(6.0);
+    for (std::uint32_t b = 0; b < 8; ++b) {
+        const model::NodeId node{b * 5};
+        fp.setNodeCapacity(node, spec.node(node).capacity * 0.2);
+    }
+    fp.runUntil(8.0);
+    for (std::uint32_t b = 0; b < 8; ++b) {
+        const model::NodeId node{b * 5};
+        fp.setNodeCapacity(node, spec.node(node).capacity);
+    }
+    fp.notePlanned(solved);
+    fp.enact(solved);
+    fp.runUntil(10.0);
+
+    const std::string json = fp.statsJson(false);
+    return stream_line("stats_json", json.size(), json) +
+           trace_line("achieved_trace", fp.achievedUtilityTrace()) +
+           trace_line("planned_trace", fp.plannedUtilityTrace());
+}
+
+TEST(FastpathGolden, FanoutCellPin) {
+    const std::string text = fanoutPinText(1);
+    check_golden("fastpath_fanout_pin", text);
+    EXPECT_EQ(fanoutPinText(4), text) << "workers=4";
 }
 
 }  // namespace
