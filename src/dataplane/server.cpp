@@ -1,6 +1,7 @@
 #include "dataplane/server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -32,7 +33,9 @@ bool QueueServer::arrive(const DataMessage& message) {
 }
 
 void QueueServer::setCapacity(double capacity) {
-    if (!(capacity > 0.0)) throw std::invalid_argument("QueueServer::setCapacity: capacity must be > 0");
+    if (!std::isfinite(capacity) || !(capacity > 0.0)) {
+        throw std::invalid_argument("QueueServer::setCapacity: capacity must be finite and > 0");
+    }
     capacity_ = capacity;
 }
 

@@ -46,7 +46,8 @@ public:
     bool arrive(const DataMessage& message);
 
     /// Mirrors a capacity change (fault injection); affects messages
-    /// served after the one currently in service.
+    /// served after the one currently in service.  Throws
+    /// std::invalid_argument unless `capacity` is finite and > 0.
     void setCapacity(double capacity);
 
     [[nodiscard]] double capacity() const noexcept { return capacity_; }

@@ -18,9 +18,20 @@ BucketHistogram::BucketHistogram(std::vector<double> upper_bounds)
     buckets_.assign(bounds_.size() + 1, 0);
 }
 
-void BucketHistogram::observe(double x) {
+std::size_t BucketHistogram::bucketOf(double x) {
+    // Bucket b holds bounds[b-1] < x <= bounds[b] (no lower bound for
+    // b = 0, no upper one for the overflow bucket): exactly the x for
+    // which lower_bound returns b.  NaN fails every bound test, so it
+    // always searches.
+    const std::size_t b = last_bucket_;
+    if ((b == 0 || bounds_[b - 1] < x) && (b == bounds_.size() || x <= bounds_[b])) return b;
     const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-    ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+    last_bucket_ = static_cast<std::size_t>(it - bounds_.begin());
+    return last_bucket_;
+}
+
+void BucketHistogram::observe(double x) {
+    ++buckets_[bucketOf(x)];
     if (count_ == 0) {
         min_ = max_ = x;
     } else {
@@ -33,8 +44,7 @@ void BucketHistogram::observe(double x) {
 
 void BucketHistogram::observe(double x, std::uint64_t n) {
     if (n == 0) return;
-    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-    buckets_[static_cast<std::size_t>(it - bounds_.begin())] += n;
+    buckets_[bucketOf(x)] += n;
     if (count_ == 0) {
         min_ = max_ = x;
     } else {

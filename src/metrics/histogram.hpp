@@ -48,8 +48,13 @@ public:
     [[nodiscard]] std::uint64_t bucketCount(std::size_t i) const { return buckets_.at(i); }
 
 private:
+    /// The bucket std::lower_bound picks for x: the previous call's
+    /// bucket when x still falls in it, else a binary search.
+    [[nodiscard]] std::size_t bucketOf(double x);
+
     std::vector<double> bounds_;
     std::vector<std::uint64_t> buckets_;  ///< bounds_.size() + 1 (overflow)
+    std::size_t last_bucket_ = 0;         ///< bucketOf's previous answer
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double min_ = 0.0;

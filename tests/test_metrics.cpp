@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "metrics/histogram.hpp"
 #include "metrics/table_writer.hpp"
@@ -142,6 +146,26 @@ TEST(BucketHistogram, OverflowQuantileReportsObservedMax) {
     h.observe(7.0);
     h.observe(9.0);
     EXPECT_DOUBLE_EQ(h.quantile(0.99), 9.0);
+}
+
+TEST(BucketHistogram, EveryObservationLandsInTheLowerBoundBucket) {
+    // observe() reuses its previous bucket when x still falls in it; the
+    // pick must be lower_bound's for every x, the bounds themselves,
+    // both infinities and NaN included, in any order.
+    const std::vector<double> bounds = {1.0, 2.0, 4.0, 8.0};
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<double> xs = {3.0, 3.5, 4.0, 4.0, 4.5, 2.0, 0.5, 0.5, -1.0, 8.0, 9.0,
+                                    inf, 9.0, -inf, 1.0, std::nan(""), 1.5, std::nan(""), 9.0};
+    lrgp::metrics::BucketHistogram h(bounds);
+    std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+    for (const double x : xs) {
+        h.observe(x, 2);
+        ++expected[static_cast<std::size_t>(
+            std::lower_bound(bounds.begin(), bounds.end(), x) - bounds.begin())];
+        for (std::size_t b = 0; b < expected.size(); ++b) {
+            ASSERT_EQ(h.bucketCount(b), 2 * expected[b]) << "after x=" << x << ", bucket " << b;
+        }
+    }
 }
 
 TEST(BucketHistogram, ValidatesBounds) {
