@@ -128,7 +128,7 @@ FastpathInstruments FastpathInstruments::resolve(Registry& registry) {
         "lrgp_fastpath_achieved_utility", "Measured utility over the last sample window");
     instruments.batch_fill = &registry.histogram(
         "lrgp_fastpath_batch_fill_messages", {1, 2, 4, 8, 16, 32},
-        "Messages per batch entering the gate graph (batch_size caps the fill)");
+        "Messages per batch entering the gate graph (kBatchSize, 32, caps the fill)");
     instruments.latency = &registry.histogram(
         "lrgp_fastpath_delivery_latency_seconds", default_time_buckets(),
         "Estimated end-to-end latency per delivered cohort (simulated seconds)");
