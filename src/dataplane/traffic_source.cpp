@@ -35,6 +35,7 @@ void TrafficSource::setEnactedRate(double rate) {
 }
 
 void TrafficSource::setOfferedRate(double rate) {
+    if (!std::isfinite(rate)) throw std::invalid_argument("TrafficSource: offered rate must be finite");
     offered_override_ = rate < 0.0 ? -1.0 : rate;
     reschedule();
 }

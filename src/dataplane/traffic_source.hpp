@@ -38,7 +38,8 @@ public:
 
     /// Overrides the arrival-process rate independently of the enacted
     /// rate (an overdriving producer); pass a negative value to resume
-    /// following the enacted rate.
+    /// following the enacted rate.  Throws std::invalid_argument on a
+    /// rate that is not finite (at +inf the next arrival is 0 s away).
     void setOfferedRate(double rate);
 
     /// An inactive source emits nothing; reactivation restarts the
